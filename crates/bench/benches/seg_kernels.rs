@@ -24,7 +24,6 @@ fn seg_kernels(c: &mut Criterion) {
         let comp = Compiler::new(Strategy::Full);
         let compiled = comp.compile(&prog).unwrap();
         let mut opts = comp.sim_options(32, params.clone());
-        opts.threads = 1;
         for (mode, kernels) in [("kernel", true), ("interp", false)] {
             opts.seg_kernels = kernels;
             let opts = opts.clone();

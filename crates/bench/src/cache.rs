@@ -5,9 +5,9 @@
 //! compiled program (dct-ir [`dct_ir::fingerprint`]), the realized
 //! strategy rung, the full decomposition (grid, foldings, per-nest and
 //! per-array placement), the resolved machine configuration field by
-//! field, and the result-relevant simulation options. Host-side knobs
-//! that are proven bit-identical (`threads`, `fast_path`) are *excluded*
-//! by construction — they never reach the key builder.
+//! field, and the result-relevant simulation options. The one host-side
+//! knob that is proven bit-identical (`fast_path`) is *excluded* by
+//! construction — it never reaches the key builder.
 //!
 //! Entries live under `<root>/<2-hex-shard>/<key>.json` and reuse the v2
 //! checkpoint envelope from [`crate::sweep`] (schema + crc64 + flat cell
@@ -43,7 +43,7 @@ pub const CACHE_KEY_SCHEMA: u32 = 1;
 
 /// Everything that may influence a cell's simulated result. Build one of
 /// these and call [`cell_cache_key`]; there is deliberately no way to
-/// feed `threads` or `fast_path` in.
+/// feed `fast_path` in.
 #[derive(Clone, Debug)]
 pub struct KeyInputs<'a> {
     /// The *source* program of the cell (pre-compilation).
@@ -168,7 +168,8 @@ fn hash_decomposition(h: &mut FpHasher, d: &Decomposition) {
 
 fn hash_machine(h: &mut FpHasher, m: &MachineConfig) {
     // Every field, by name, in declaration order. A new MachineConfig
-    // field must be added here (the zoo test below counts fields).
+    // field must be added here (`key_changes_with_every_input_field`
+    // names every field).
     h.write_tag(0x4b);
     h.write_u64(m.nprocs as u64);
     h.write_u64(m.procs_per_cluster as u64);
@@ -558,13 +559,19 @@ mod tests {
         assert_eq!(full.shard().len(), 2);
     }
 
-    /// The key must see result-relevant options and ignore nothing else.
+    /// Cache-key soundness: a result-affecting input missing from the key
+    /// is the one way the store could serve a wrong answer silently. So
+    /// perturbing any single `KeyInputs` field, or any single field of
+    /// the resolved `MachineConfig`, must change the key. Both structs are
+    /// destructured without `..`: a new field does not compile here until
+    /// it gets its own perturbation.
     #[test]
-    fn key_sensitivity() {
+    fn key_changes_with_every_input_field() {
         let suite = programs::suite(0.1);
-        let b = suite.iter().find(|b| b.name == "stencil").expect("stencil");
+        let prog_of = |name: &str| &suite.iter().find(|b| b.name == name).expect("in suite").program;
+        let dash = MachineConfig::dash(8);
         let base = KeyInputs {
-            prog: &b.program,
+            prog: prog_of("stencil"),
             kind: "full",
             procs: 8,
             scale_milli: 100,
@@ -572,27 +579,90 @@ mod tests {
             profile: false,
             max_cycles: None,
             max_wall_secs: None,
-            machine: None,
+            machine: Some(&dash),
         };
-        let k0 = cell_cache_key("stencil", &base).expect("key");
-        let mut i = base.clone();
-        i.race_check = true;
-        assert_ne!(cell_cache_key("stencil", &i).expect("key").hash, k0.hash, "race_check");
-        let mut i = base.clone();
-        i.profile = true;
-        assert_ne!(cell_cache_key("stencil", &i).expect("key").hash, k0.hash, "profile");
-        let mut i = base.clone();
-        i.max_cycles = Some(1_000_000);
-        assert_ne!(cell_cache_key("stencil", &i).expect("key").hash, k0.hash, "max_cycles");
-        let mut i = base.clone();
-        i.procs = 16;
-        assert_ne!(cell_cache_key("stencil", &i).expect("key").hash, k0.hash, "procs");
-        let tiny = MachineConfig::tiny(8);
-        let mut i = base.clone();
-        i.machine = Some(&tiny);
-        assert_ne!(cell_cache_key("stencil", &i).expect("key").hash, k0.hash, "machine");
-        // Identical inputs rebuild the identical key (fresh compile).
-        assert_eq!(cell_cache_key("stencil", &base).expect("key"), k0);
+        let key = |i: &KeyInputs| cell_cache_key("stencil", i).expect("key derivation").hash;
+        let k0 = key(&base);
+        assert_eq!(key(&base), k0, "identical inputs rebuild the identical key");
+        assert_eq!(
+            key(&KeyInputs { machine: None, ..base.clone() }),
+            k0,
+            "no machine override resolves to the DASH preset"
+        );
+
+        let KeyInputs {
+            prog: _,
+            kind: _,
+            procs,
+            scale_milli,
+            race_check,
+            profile,
+            max_cycles,
+            max_wall_secs,
+            machine: _,
+        } = base.clone();
+        let inputs = [
+            ("prog", KeyInputs { prog: prog_of("lu"), ..base.clone() }),
+            ("kind", KeyInputs { kind: "comp", ..base.clone() }),
+            ("procs", KeyInputs { procs: procs * 2, ..base.clone() }),
+            ("scale_milli", KeyInputs { scale_milli: scale_milli + 1, ..base.clone() }),
+            ("race_check", KeyInputs { race_check: !race_check, ..base.clone() }),
+            ("profile", KeyInputs { profile: !profile, ..base.clone() }),
+            ("max_cycles", KeyInputs { max_cycles: Some(max_cycles.unwrap_or(0) + 1), ..base.clone() }),
+            (
+                "max_wall_secs",
+                KeyInputs { max_wall_secs: Some(max_wall_secs.unwrap_or(0.0) + 1.0), ..base.clone() },
+            ),
+        ];
+        for (field, i) in &inputs {
+            assert_ne!(key(i), k0, "KeyInputs::{field} is missing from the cache key");
+        }
+
+        let MachineConfig {
+            nprocs,
+            procs_per_cluster,
+            l1_bytes,
+            l1_assoc,
+            l2_bytes,
+            l2_assoc,
+            line_bytes,
+            page_bytes,
+            lat_l1,
+            lat_l2,
+            lat_local,
+            lat_remote,
+            lat_remote_dirty,
+            lat_invalidate,
+            barrier_base,
+            barrier_per_proc,
+            lock_cost,
+            classify_misses,
+        } = dash.clone();
+        let d = || dash.clone();
+        let machines = [
+            ("nprocs", MachineConfig { nprocs: nprocs + 1, ..d() }),
+            ("procs_per_cluster", MachineConfig { procs_per_cluster: procs_per_cluster * 2, ..d() }),
+            ("l1_bytes", MachineConfig { l1_bytes: l1_bytes * 2, ..d() }),
+            ("l1_assoc", MachineConfig { l1_assoc: l1_assoc * 2, ..d() }),
+            ("l2_bytes", MachineConfig { l2_bytes: l2_bytes * 2, ..d() }),
+            ("l2_assoc", MachineConfig { l2_assoc: l2_assoc * 2, ..d() }),
+            ("line_bytes", MachineConfig { line_bytes: line_bytes * 2, ..d() }),
+            ("page_bytes", MachineConfig { page_bytes: page_bytes * 2, ..d() }),
+            ("lat_l1", MachineConfig { lat_l1: lat_l1 + 1, ..d() }),
+            ("lat_l2", MachineConfig { lat_l2: lat_l2 + 1, ..d() }),
+            ("lat_local", MachineConfig { lat_local: lat_local + 1, ..d() }),
+            ("lat_remote", MachineConfig { lat_remote: lat_remote + 1, ..d() }),
+            ("lat_remote_dirty", MachineConfig { lat_remote_dirty: lat_remote_dirty + 1, ..d() }),
+            ("lat_invalidate", MachineConfig { lat_invalidate: lat_invalidate + 1, ..d() }),
+            ("barrier_base", MachineConfig { barrier_base: barrier_base + 1, ..d() }),
+            ("barrier_per_proc", MachineConfig { barrier_per_proc: barrier_per_proc + 1, ..d() }),
+            ("lock_cost", MachineConfig { lock_cost: lock_cost + 1, ..d() }),
+            ("classify_misses", MachineConfig { classify_misses: !classify_misses, ..d() }),
+        ];
+        for (field, m) in &machines {
+            let i = KeyInputs { machine: Some(m), ..base.clone() };
+            assert_ne!(key(&i), k0, "MachineConfig::{field} is missing from the cache key");
+        }
     }
 
     fn tmpdir(tag: &str) -> PathBuf {

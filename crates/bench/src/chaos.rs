@@ -289,31 +289,20 @@ pub fn backoff_ms(p: &RetryPolicy, cell: &str, attempt: usize) -> u64 {
     exp.saturating_add(jitter).min(p.backoff_cap_ms)
 }
 
-/// The degradation ladder a retried cell walks. Every rung produces
-/// **bit-identical simulated results** — only host-side mechanics change
-/// (intra-cell threads, strided fast path) — so a recovery can never
-/// silently alter the science.
+/// The degradation ladder a retried cell walks. Both rungs produce
+/// **bit-identical simulated results** — only the host-side walker
+/// changes — so a recovery can never silently alter the science.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RetryRung {
-    /// The configured options, as the first attempt ran them.
+    /// The configured options, as the first attempt ran them (strided
+    /// fast path and fused kernels on).
     Configured,
-    /// Half the intra-cell threads (a wedged shard may be scheduling-
-    /// dependent).
-    ReducedThreads,
-    /// Strided fast path off, reduced threads (rules out the segment
-    /// engine).
-    NoFastPath,
-    /// The floor: one thread, general walk — the reference interpreter.
+    /// The floor: the general walk — the reference interpreter.
     ReferenceWalk,
 }
 
 impl RetryRung {
-    pub const LADDER: [RetryRung; 4] = [
-        RetryRung::Configured,
-        RetryRung::ReducedThreads,
-        RetryRung::NoFastPath,
-        RetryRung::ReferenceWalk,
-    ];
+    pub const LADDER: [RetryRung; 2] = [RetryRung::Configured, RetryRung::ReferenceWalk];
 
     /// The rung for the `attempt`-th try (0-based); attempts past the
     /// floor stay on the floor.
@@ -321,23 +310,14 @@ impl RetryRung {
         RetryRung::LADDER[attempt.min(RetryRung::LADDER.len() - 1)]
     }
 
-    /// (intra-cell threads, fast_path) this rung runs with, given the
-    /// configured thread count.
-    pub fn params(&self, threads: usize) -> (usize, bool) {
-        let t = threads.max(1);
-        match self {
-            RetryRung::Configured => (t, true),
-            RetryRung::ReducedThreads => ((t / 2).max(1), true),
-            RetryRung::NoFastPath => ((t / 2).max(1), false),
-            RetryRung::ReferenceWalk => (1, false),
-        }
+    /// Whether this rung runs the strided fast path.
+    pub fn fast_path(&self) -> bool {
+        *self == RetryRung::Configured
     }
 
     pub fn label(&self) -> &'static str {
         match self {
             RetryRung::Configured => "configured",
-            RetryRung::ReducedThreads => "reduced-threads",
-            RetryRung::NoFastPath => "no-fast-path",
             RetryRung::ReferenceWalk => "reference-walk",
         }
     }
@@ -361,8 +341,6 @@ pub struct ChaosConfig {
     pub out_dir: PathBuf,
     /// Restrict to these benchmarks (`None` = whole suite).
     pub only: Option<Vec<String>>,
-    /// Intra-cell threads of the configured rung.
-    pub threads: usize,
     /// Run the race detector in every cell (its report joins the
     /// bit-identity fingerprint).
     pub race_check: bool,
@@ -392,7 +370,6 @@ impl ChaosConfig {
             scale: 0.1,
             out_dir: out_dir.into(),
             only: None,
-            threads: 2,
             race_check: true,
             profile: false,
             stuck_wall_secs: 2.0,
@@ -506,7 +483,6 @@ pub fn diff_sweeps(clean: &[Cell], chaos: &[Cell]) -> Vec<ChaosDiff> {
 fn sweep_config(cfg: &ChaosConfig, sub: &str) -> SweepConfig {
     let mut sc = SweepConfig::new(cfg.procs, cfg.scale, cfg.out_dir.join(sub));
     sc.only = cfg.only.clone();
-    sc.threads = cfg.threads.max(1);
     sc.race_check = cfg.race_check;
     sc.profile = cfg.profile;
     sc.stuck_wall_secs = Some(cfg.stuck_wall_secs);
@@ -677,14 +653,11 @@ mod tests {
 
     #[test]
     fn ladder_only_varies_bit_identical_knobs() {
-        // threads and fast_path are the only knobs a rung may touch —
-        // both are proven bit-identical elsewhere. The floor is the
-        // reference walk.
-        assert_eq!(RetryRung::for_attempt(0).params(4), (4, true));
-        assert_eq!(RetryRung::for_attempt(1).params(4), (2, true));
-        assert_eq!(RetryRung::for_attempt(2).params(4), (2, false));
-        assert_eq!(RetryRung::for_attempt(3).params(4), (1, false));
-        assert_eq!(RetryRung::for_attempt(99).params(4), (1, false), "past the floor stays on it");
-        assert_eq!(RetryRung::for_attempt(1).params(1), (1, true), "threads never reach 0");
+        // fast_path is the only knob a rung may touch — proven
+        // bit-identical elsewhere. The floor is the reference walk.
+        assert!(RetryRung::for_attempt(0).fast_path());
+        assert!(!RetryRung::for_attempt(1).fast_path());
+        assert_eq!(RetryRung::for_attempt(1), RetryRung::ReferenceWalk);
+        assert_eq!(RetryRung::for_attempt(99), RetryRung::ReferenceWalk, "past the floor stays on it");
     }
 }

@@ -66,14 +66,12 @@ fn run_explain_cell(
     params: &[i64],
     procs: usize,
     strategy: Strategy,
-    threads: usize,
 ) -> Result<ExplainRun, String> {
     let body = || -> Result<ExplainRun, String> {
         let c = Compiler::new(strategy);
         let compiled = c.compile(prog).map_err(|e| e.to_string())?;
         let mut opts = rung_sim_options(compiled.rung, procs, params.to_vec());
         opts.profile = true;
-        opts.threads = threads.max(1);
         let r = dct_spmd::simulate(&compiled.program, &compiled.decomposition, &opts)
             .map_err(|e| e.to_string())?;
         let profile = r.mem_profile.ok_or_else(|| "profiler produced no profile".to_string())?;
@@ -92,28 +90,15 @@ pub fn explain(benchmark: &str, scale: f64, procs: usize) -> Option<ExplainResul
     explain_strategies(benchmark, scale, procs, &Strategy::ALL)
 }
 
-/// [`explain`] with an explicit sharded-engine thread count per cell
-/// (bit-identical profiles at any value; `repro --threads` routes here).
-pub fn explain_threads(
-    benchmark: &str,
-    scale: f64,
-    procs: usize,
-    threads: usize,
-) -> Option<ExplainResult> {
-    explain_inner(benchmark, scale, procs, &Strategy::ALL, threads)
-}
-
-/// [`explain_threads`] behind the content-addressed store: the rendered
-/// text and JSON reports are cached as artifacts keyed on the compiled
-/// programs (all strategies), so a repeat `repro explain --cache` serves
-/// both without re-simulating. Returns `(text, json)`; `None` for an
-/// unknown benchmark. Threads are excluded from the key by construction
-/// (profiles are bit-identical at any thread count).
+/// [`explain`] behind the content-addressed store: the rendered text and
+/// JSON reports are cached as artifacts keyed on the compiled programs
+/// (all strategies), so a repeat `repro explain --cache` serves both
+/// without re-simulating. Returns `(text, json)`; `None` for an unknown
+/// benchmark.
 pub fn explain_cached(
     benchmark: &str,
     scale: f64,
     procs: usize,
-    threads: usize,
     store: &crate::cache::ResultStore,
 ) -> Option<(String, String)> {
     let bench = programs::suite(scale).into_iter().find(|b| b.name == benchmark)?;
@@ -129,7 +114,7 @@ pub fn explain_cached(
             return Some((text, json));
         }
     }
-    let r = explain_threads(benchmark, scale, procs, threads)?;
+    let r = explain(benchmark, scale, procs)?;
     let text = render_explain(&r);
     let json = explain_json(&r);
     if let (Some(tk), Some(jk)) = (&tkey, &jkey) {
@@ -154,23 +139,13 @@ pub fn explain_strategies(
     procs: usize,
     strategies: &[Strategy],
 ) -> Option<ExplainResult> {
-    explain_inner(benchmark, scale, procs, strategies, dct_spmd::default_threads())
-}
-
-fn explain_inner(
-    benchmark: &str,
-    scale: f64,
-    procs: usize,
-    strategies: &[Strategy],
-    threads: usize,
-) -> Option<ExplainResult> {
     let bench = programs::suite(scale).into_iter().find(|b| b.name == benchmark)?;
     let params = bench.program.default_params();
     let strategies = strategies
         .iter()
         .map(|&strategy| StrategyExplain {
             strategy,
-            outcome: run_explain_cell(&bench.program, &params, procs, strategy, threads),
+            outcome: run_explain_cell(&bench.program, &params, procs, strategy),
         })
         .collect();
     Some(ExplainResult { benchmark: benchmark.to_string(), procs, scale, strategies })

@@ -45,59 +45,6 @@ pub fn atomic_write_sync(path: &Path, data: &[u8]) -> std::io::Result<()> {
 /// LU's conflict pathology makes 31 vs 32 a headline data point).
 pub const PAPER_PROCS: &[usize] = &[1, 2, 4, 8, 12, 16, 20, 24, 28, 31, 32];
 
-/// How the host's threads are split between concurrently-running
-/// simulation cells (a sweep's worker pool) and the sharded engine
-/// inside each cell (`SimOptions::threads`). The invariant every sweep
-/// maintains: `workers * intra <= host` — the two layers share one
-/// budget instead of multiplying into oversubscription.
-#[derive(Clone, Copy, Debug)]
-pub struct ThreadBudget {
-    /// Host threads available (`std::thread::available_parallelism`).
-    pub host: usize,
-    /// Simulation cells in flight at once.
-    pub workers: usize,
-    /// Sharded-engine threads inside each cell.
-    pub intra: usize,
-}
-
-impl ThreadBudget {
-    /// Clamp a requested worker count and optional pinned intra-cell
-    /// thread count to the host. A pinned `intra` wins (the workers give
-    /// way — this is how `repro --threads 4` forces the parallel engine
-    /// even on a small host); otherwise workers get the threads and the
-    /// remainder goes intra-cell.
-    pub fn clamp(workers: usize, intra: Option<usize>) -> ThreadBudget {
-        let host = dct_spmd::default_threads().max(1);
-        match intra {
-            Some(i) => {
-                let i = i.max(1);
-                ThreadBudget { host, workers: (host / i).clamp(1, workers.max(1)), intra: i }
-            }
-            None => {
-                let w = workers.clamp(1, host);
-                ThreadBudget { host, workers: w, intra: (host / w).max(1) }
-            }
-        }
-    }
-
-    /// Everything on one cell: no worker pool, the whole budget (or the
-    /// pinned count) goes to the sharded engine.
-    pub fn single_cell(intra: Option<usize>) -> ThreadBudget {
-        let host = dct_spmd::default_threads().max(1);
-        ThreadBudget { host, workers: 1, intra: intra.unwrap_or(host).max(1) }
-    }
-}
-
-impl std::fmt::Display for ThreadBudget {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "thread budget: {} cell(s) in flight x {} intra-cell thread(s) on {} host thread(s)",
-            self.workers, self.intra, self.host
-        )
-    }
-}
-
 /// A figure specification: which benchmark, at which size.
 #[derive(Clone, Debug)]
 pub struct FigureSpec {
@@ -216,20 +163,17 @@ pub fn run_figure(spec: &FigureSpec, procs_list: &[usize]) -> DctResult<FigureRe
 }
 
 /// Parallel variant of [`run_figure`]: simulation points are independent,
-/// so they are swept with a scoped worker pool whose size respects the
-/// thread budget (each point additionally runs the sharded engine with
-/// `budget.intra` threads). A panicking worker is caught and surfaced as
-/// an error for its point, not a process abort.
+/// so they are swept with a scoped pool of `workers` threads, one point
+/// in flight per worker. A panicking worker is caught and surfaced as an
+/// error for its point, not a process abort.
 pub fn run_figure_parallel(
     spec: &FigureSpec,
     procs_list: &[usize],
-    budget: ThreadBudget,
+    workers: usize,
 ) -> DctResult<FigureResult> {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    eprintln!("[{budget}]");
-    let workers = budget.workers;
     let params = spec.program.default_params();
     let seq = sequential_cycles(&spec.program, &params)?;
 
@@ -269,7 +213,7 @@ pub fn run_figure_parallel(
                         Err(e) => Err(e.clone()),
                         Ok((c, cc)) => {
                             match catch_unwind(AssertUnwindSafe(|| {
-                                c.simulate_threads(cc, procs, &params, budget.intra)
+                                c.simulate(cc, procs, &params)
                             })) {
                                 Ok(Ok(r)) => Ok(SpeedupPoint {
                                     procs,
@@ -345,16 +289,15 @@ type CellResult = Result<u64, String>;
 const CELL_LABELS: [&str; 4] = ["sequential", "base", "comp-decomp", "full"];
 
 /// Run one Table 1 cell, catching panics so a bad benchmark cannot
-/// poison the sweep. `threads` drives the sharded engine inside the
-/// simulation (bit-identical at any value).
-fn run_cell(prog: &Program, params: &[i64], procs: usize, k: usize, threads: usize) -> CellResult {
+/// poison the sweep.
+fn run_cell(prog: &Program, params: &[i64], procs: usize, k: usize) -> CellResult {
     let body = || -> Result<u64, String> {
         match k {
             0 => sequential_cycles(prog, params).map_err(|e| e.to_string()),
             _ => {
                 let c = Compiler::new(Strategy::ALL[k - 1]);
                 let compiled = c.compile(prog).map_err(|e| e.to_string())?;
-                c.simulate_threads(&compiled, procs, params, threads)
+                c.simulate(&compiled, procs, params)
                     .map(|r| r.cycles)
                     .map_err(|e| e.to_string())
             }
@@ -418,20 +361,15 @@ fn assemble_row(name: &str, prog: &Program, cy: &[CellResult; 4]) -> Table1Row {
 }
 
 /// Regenerate Table 1 at `procs` processors and `scale` of the paper
-/// sizes, one cell at a time (the whole host budget goes intra-cell).
+/// sizes, one cell at a time.
 pub fn table1(procs: usize, scale: f64) -> Vec<Table1Row> {
-    table1_serial(procs, scale, ThreadBudget::single_cell(None).intra)
-}
-
-/// [`table1`] with an explicit intra-cell thread count.
-fn table1_serial(procs: usize, scale: f64, threads: usize) -> Vec<Table1Row> {
     let suite = programs::suite(scale);
     suite
         .iter()
         .map(|b| {
             let params = b.program.default_params();
             let cy: [CellResult; 4] =
-                std::array::from_fn(|k| run_cell(&b.program, &params, procs, k, threads));
+                std::array::from_fn(|k| run_cell(&b.program, &params, procs, k));
             assemble_row(b.name, &b.program, &cy)
         })
         .collect()
@@ -439,14 +377,12 @@ fn table1_serial(procs: usize, scale: f64, threads: usize) -> Vec<Table1Row> {
 
 /// Parallel variant of [`table1`]: the 4 simulations per benchmark
 /// (sequential reference + three strategies) are independent, so all
-/// `suite.len() * 4` of them are swept with a scoped worker pool sized
-/// by the thread budget (each cell also runs the sharded engine with
-/// `budget.intra` threads). Rows are assembled in suite order afterwards
-/// — the output is identical to the sequential version. A failing or
-/// panicking cell becomes a failed cell in its row, never a poisoned
-/// sweep.
-pub fn table1_parallel(procs: usize, scale: f64, budget: ThreadBudget) -> Vec<Table1Row> {
-    table1_parallel_with_hook(procs, scale, budget, None)
+/// `suite.len() * 4` of them are swept with a scoped pool of `workers`
+/// threads. Rows are assembled in suite order afterwards — the output is
+/// identical to the sequential version. A failing or panicking cell
+/// becomes a failed cell in its row, never a poisoned sweep.
+pub fn table1_parallel(procs: usize, scale: f64, workers: usize) -> Vec<Table1Row> {
+    table1_parallel_with_hook(procs, scale, workers, None)
 }
 
 /// Testing back door for [`table1_parallel`]: `hook(bench, k)` runs inside
@@ -456,17 +392,15 @@ pub fn table1_parallel(procs: usize, scale: f64, budget: ThreadBudget) -> Vec<Ta
 pub fn table1_parallel_with_hook(
     procs: usize,
     scale: f64,
-    budget: ThreadBudget,
+    workers: usize,
     hook: Option<&(dyn Fn(&str, usize) + Sync)>,
 ) -> Vec<Table1Row> {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    eprintln!("[{budget}]");
-    let workers = budget.workers;
     if workers <= 1 && hook.is_none() {
         // No across-cell parallelism: the pool is pure overhead.
-        return table1_serial(procs, scale, budget.intra);
+        return table1(procs, scale);
     }
     let suite = programs::suite(scale);
     // Task (b, k): benchmark b, run k = 0 sequential reference, else
@@ -491,7 +425,7 @@ pub fn table1_parallel_with_hook(
                     if let Some(h) = hook {
                         h(bench.name, k);
                     }
-                    run_cell(&bench.program, &params, procs, k, budget.intra)
+                    run_cell(&bench.program, &params, procs, k)
                 })) {
                     Ok(r) => r,
                     Err(p) => Err(format!("worker panicked: {}", panic_message(p.as_ref()))),
@@ -528,14 +462,12 @@ fn run_race_cell(
     params: &[i64],
     procs: usize,
     strategy: Strategy,
-    threads: usize,
 ) -> Result<dct_ir::RaceReport, String> {
     let body = || -> Result<dct_ir::RaceReport, String> {
         let c = Compiler::new(strategy);
         let compiled = c.compile(prog).map_err(|e| e.to_string())?;
         let mut opts = dct_core::rung_sim_options(compiled.rung, procs, params.to_vec());
         opts.race_detect = true;
-        opts.threads = threads.max(1);
         let r = dct_spmd::simulate(&compiled.program, &compiled.decomposition, &opts)
             .map_err(|e| e.to_string())?;
         r.race.ok_or_else(|| "detector produced no report".to_string())
@@ -548,16 +480,15 @@ fn run_race_cell(
 
 /// Certify every Table 1 benchmark under every strategy at `procs`
 /// processors with the happens-before race detector on. Cells are
-/// independent and swept with a scoped worker pool, like [`table1_parallel`].
+/// independent and swept with a scoped pool of `workers` threads, like
+/// [`table1_parallel`].
 /// This is the schedule-soundness check behind `repro --race-check`: the
 /// detector is the only oracle that can see missing synchronization, since
 /// the deterministic simulator never produces "racy but lucky" values.
-pub fn race_check(procs: usize, scale: f64, budget: ThreadBudget) -> Vec<RaceCheckCell> {
+pub fn race_check(procs: usize, scale: f64, workers: usize) -> Vec<RaceCheckCell> {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    eprintln!("[{budget}]");
-    let workers = budget.workers;
     let suite = programs::suite(scale);
     let tasks: Vec<(usize, usize)> =
         (0..suite.len()).flat_map(|b| (0..Strategy::ALL.len()).map(move |s| (b, s))).collect();
@@ -575,8 +506,7 @@ pub fn race_check(procs: usize, scale: f64, budget: ThreadBudget) -> Vec<RaceChe
                 let bench = &suite[b];
                 let strategy = Strategy::ALL[s];
                 let params = bench.program.default_params();
-                let outcome =
-                    run_race_cell(&bench.program, &params, procs, strategy, budget.intra);
+                let outcome = run_race_cell(&bench.program, &params, procs, strategy);
                 cells.lock().unwrap()[t] =
                     Some(RaceCheckCell { program: bench.name.to_string(), strategy, outcome });
             });

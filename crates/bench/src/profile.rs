@@ -6,33 +6,17 @@ use crate::harness::{figure, FigureSpec, ALL_FIGURES};
 use dct_core::{Compiler, Strategy};
 use std::time::Instant;
 
-/// Throughput measurement of one (figure, strategy) simulation: a
-/// 1-thread / N-thread pair of the same cell, so the perf trajectory
-/// captures intra-cell scaling, not just absolute rate.
+/// Throughput measurement of one (figure, strategy) simulation.
 #[derive(Clone, Debug)]
 pub struct StrategyProfile {
     pub strategy: &'static str,
-    /// Wall time of the 1-thread (exact sequential engine) run.
+    /// Wall time of the plain simulation.
     pub wall_secs: f64,
     /// Simulated memory accesses performed by the run.
     pub accesses: u64,
-    /// Simulated accesses per wall-clock second on the 1-thread engine —
-    /// the simulator's headline throughput number.
+    /// Simulated accesses per wall-clock second — the simulator's
+    /// headline throughput number.
     pub accesses_per_sec: f64,
-    /// Sharded-engine threads of the parallel run of the pair.
-    pub threads: usize,
-    /// Wall time of the same cell on the sharded engine at `threads`.
-    pub parallel_wall_secs: f64,
-    /// Simulated accesses per second at `threads` (same access count —
-    /// the engines are bit-identical — divided by the parallel wall).
-    pub parallel_accesses_per_sec: f64,
-    /// 1-thread wall over `threads`-wall: intra-cell scaling of this
-    /// cell (1.0 = no win, e.g. regions too small or a 1-core host).
-    pub intra_cell_speedup: f64,
-    /// Sync-free regions the sharded engine ran in parallel vs
-    /// sequentially during the N-thread run (coverage of the engine).
-    pub par_regions: u64,
-    pub seq_regions: u64,
     /// Fraction of innermost iterations executed through the strided
     /// segment engine (executor fast path).
     pub exec_fast_ratio: f64,
@@ -71,12 +55,10 @@ pub struct FigureProfile {
     pub strategies: Vec<StrategyProfile>,
 }
 
-/// Profile one figure: each compiler strategy simulated as a 1-thread /
-/// `threads`-thread pair at `procs` simulated processors. The pair must
-/// agree on cycles and checksum bits — the bit-identity contract of the
-/// sharded engine, asserted on every profiling run.
-pub fn profile_figure(spec: &FigureSpec, procs: usize, threads: usize) -> FigureProfile {
-    let threads = threads.max(1);
+/// Profile one figure: each compiler strategy simulated at `procs`
+/// simulated processors, plain, with the profiler attached, and on the
+/// native backend.
+pub fn profile_figure(spec: &FigureSpec, procs: usize) -> FigureProfile {
     let params = spec.program.default_params();
     let strategies = Strategy::ALL
         .iter()
@@ -84,18 +66,8 @@ pub fn profile_figure(spec: &FigureSpec, procs: usize, threads: usize) -> Figure
             let c = Compiler::new(strategy);
             let compiled = c.compile(&spec.program).unwrap();
             let t0 = Instant::now();
-            let r = c.simulate_threads(&compiled, procs, &params, 1).unwrap();
+            let r = c.simulate(&compiled, procs, &params).unwrap();
             let wall = t0.elapsed().as_secs_f64();
-            // The same cell on the sharded engine.
-            let tp = Instant::now();
-            let rn = c.simulate_threads(&compiled, procs, &params, threads).unwrap();
-            let parallel_wall = tp.elapsed().as_secs_f64();
-            assert_eq!(r.cycles, rn.cycles, "sharded engine must not perturb cycles");
-            assert_eq!(
-                r.checksum.to_bits(),
-                rn.checksum.to_bits(),
-                "sharded engine must not perturb the checksum"
-            );
             // Same cell with the profiler attached: overhead is the wall
             // ratio (cycles are identical by construction; the golden
             // tests pin that, here we only measure host cost).
@@ -126,16 +98,6 @@ pub fn profile_figure(spec: &FigureSpec, procs: usize, threads: usize) -> Figure
                 wall_secs: wall,
                 accesses,
                 accesses_per_sec: if wall > 0.0 { accesses as f64 / wall } else { 0.0 },
-                threads,
-                parallel_wall_secs: parallel_wall,
-                parallel_accesses_per_sec: if parallel_wall > 0.0 {
-                    accesses as f64 / parallel_wall
-                } else {
-                    0.0
-                },
-                intra_cell_speedup: if parallel_wall > 0.0 { wall / parallel_wall } else { 0.0 },
-                par_regions: rn.par_regions,
-                seq_regions: rn.seq_regions,
                 exec_fast_ratio: if iters > 0 { r.fast.fast_iters as f64 / iters as f64 } else { 0.0 },
                 avg_segment_len: if r.fast.segments > 0 {
                     r.fast.fast_iters as f64 / r.fast.segments as f64
@@ -164,9 +126,8 @@ pub fn profile_figure(spec: &FigureSpec, procs: usize, threads: usize) -> Figure
     }
 }
 
-/// Profile every figure (or the named subset) at `procs` and `scale`,
-/// pairing each cell's 1-thread run with a `threads`-thread run.
-pub fn profile_all(ids: &[String], procs: usize, scale: f64, threads: usize) -> Vec<FigureProfile> {
+/// Profile every figure (or the named subset) at `procs` and `scale`.
+pub fn profile_all(ids: &[String], procs: usize, scale: f64) -> Vec<FigureProfile> {
     let ids: Vec<&str> = if ids.is_empty() {
         ALL_FIGURES.to_vec()
     } else {
@@ -174,7 +135,7 @@ pub fn profile_all(ids: &[String], procs: usize, scale: f64, threads: usize) -> 
     };
     ids.iter()
         .filter_map(|id| figure(id, scale))
-        .map(|spec| profile_figure(&spec, procs, threads))
+        .map(|spec| profile_figure(&spec, procs))
         .collect()
 }
 
@@ -210,21 +171,6 @@ pub fn render_json(profiles: &[FigureProfile], total_wall_secs: f64) -> String {
             out.push_str(&format!("          \"wall_secs\": {:.4},\n", s.wall_secs));
             out.push_str(&format!("          \"sim_accesses\": {},\n", s.accesses));
             out.push_str(&format!("          \"accesses_per_sec\": {:.0},\n", s.accesses_per_sec));
-            out.push_str(&format!("          \"threads\": {},\n", s.threads));
-            out.push_str(&format!(
-                "          \"parallel_wall_secs\": {:.4},\n",
-                s.parallel_wall_secs
-            ));
-            out.push_str(&format!(
-                "          \"parallel_accesses_per_sec\": {:.0},\n",
-                s.parallel_accesses_per_sec
-            ));
-            out.push_str(&format!(
-                "          \"intra_cell_speedup\": {:.3},\n",
-                s.intra_cell_speedup
-            ));
-            out.push_str(&format!("          \"par_regions\": {},\n", s.par_regions));
-            out.push_str(&format!("          \"seq_regions\": {},\n", s.seq_regions));
             out.push_str(&format!("          \"exec_fast_ratio\": {:.4},\n", s.exec_fast_ratio));
             out.push_str(&format!("          \"avg_segment_len\": {:.1},\n", s.avg_segment_len));
             out.push_str(&format!("          \"l1_fast_hit_ratio\": {:.4},\n", s.l1_fast_hit_ratio));
@@ -256,7 +202,7 @@ pub fn render_json(profiles: &[FigureProfile], total_wall_secs: f64) -> String {
 /// Human-readable summary table of the same data.
 pub fn render_text(profiles: &[FigureProfile]) -> String {
     let mut out = String::new();
-    out.push_str("figure      strategy                     wall(s)   Macc/s  par-Macc/s  xT-speedup  fast-iter  kernel  seg-len  l1-fast  prof-ovh  native(s)  shapes\n");
+    out.push_str("figure      strategy                     wall(s)   Macc/s  fast-iter  kernel  seg-len  l1-fast  prof-ovh  native(s)  shapes\n");
     for p in profiles {
         for s in &p.strategies {
             let shapes: Vec<String> = dct_spmd::kernel::SHAPE_NAMES
@@ -266,14 +212,11 @@ pub fn render_text(profiles: &[FigureProfile]) -> String {
                 .map(|(name, _)| name.to_string())
                 .collect();
             out.push_str(&format!(
-                "{:<11} {:<28} {:>7.3} {:>8.1} {:>11.1} {:>8.2}x@{:<2} {:>8.1}% {:>6.1}% {:>8.1} {:>7.1}% {:>8.2}x {:>9.3}  {}\n",
+                "{:<11} {:<28} {:>7.3} {:>8.1} {:>8.1}% {:>6.1}% {:>8.1} {:>7.1}% {:>8.2}x {:>9.3}  {}\n",
                 p.id,
                 s.strategy,
                 s.wall_secs,
                 s.accesses_per_sec / 1e6,
-                s.parallel_accesses_per_sec / 1e6,
-                s.intra_cell_speedup,
-                s.threads,
                 s.exec_fast_ratio * 100.0,
                 s.kernelized_ratio * 100.0,
                 s.avg_segment_len,
@@ -294,7 +237,7 @@ mod tests {
     #[test]
     fn profile_runs_and_renders() {
         let spec = figure("fig8", 0.1).unwrap();
-        let profiles = vec![profile_figure(&spec, 4, 4)];
+        let profiles = vec![profile_figure(&spec, 4)];
         assert_eq!(profiles[0].strategies.len(), 3);
         for s in &profiles[0].strategies {
             assert!(s.accesses > 0);
@@ -305,17 +248,11 @@ mod tests {
         for s in &profiles[0].strategies {
             assert!(s.profiled_wall_secs > 0.0);
             assert!(s.profile_overhead > 0.0);
-            assert_eq!(s.threads, 4);
-            assert!(s.parallel_wall_secs > 0.0);
-            assert!(s.intra_cell_speedup > 0.0);
             assert!(s.native_wall_secs > 0.0);
         }
         let j = render_json(&profiles, 1.0);
         assert!(j.contains("\"fig8\""));
         assert!(j.contains("accesses_per_sec"));
-        assert!(j.contains("parallel_accesses_per_sec"));
-        assert!(j.contains("intra_cell_speedup"));
-        assert!(j.contains("\"threads\": 4"));
         assert!(j.contains("profile_overhead"));
         assert!(j.contains("native_wall_secs"));
         assert!(j.contains("kernelized_ratio"));

@@ -14,7 +14,7 @@
 //! cancels a wedged cell cooperatively at its next sync-point boundary
 //! (see [`dct_ir::CancelToken`]), and failed cells retry with bounded
 //! seeded backoff down a degradation ladder whose rungs are all
-//! bit-identical (threads, fast path — never the science). A cell that
+//! bit-identical (fast path, then the reference walk — never the science). A cell that
 //! fails every attempt is quarantined with a structured reason; the sweep
 //! keeps going. Partial results always render: a table with holes beats
 //! no table.
@@ -22,7 +22,7 @@
 use crate::chaos::{backoff_ms, FaultInjector, FaultSite, RetryPolicy, RetryRung};
 use crate::harness::atomic_write_sync;
 use crate::programs;
-use dct_core::{rung_sim_options, Compiler, Strategy};
+use dct_core::{rung_sim_options, Compiler};
 use dct_ir::{panic_message, CancelToken};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -164,11 +164,27 @@ pub fn cell_to_json(c: &Cell) -> String {
     s
 }
 
-/// Extract `"key":"..."` from a flat JSON object (handles escapes we emit).
+/// The raw text of field `key`'s value in a flat JSON object: everything
+/// after the colon, leading whitespace skipped. Whitespace around the
+/// colon is accepted, so `"procs": 8` reads like `"procs":8`. Only a
+/// quoted `"key"` followed by a colon counts, so a string value equal to
+/// the key is never mistaken for it.
+pub fn json_field<'a>(s: &'a str, key: &str) -> Option<&'a str> {
+    let pat = format!("\"{key}\"");
+    let mut from = 0;
+    while let Some(i) = s[from..].find(&pat) {
+        from += i + pat.len();
+        if let Some(v) = s[from..].trim_start().strip_prefix(':') {
+            return Some(v.trim_start());
+        }
+    }
+    None
+}
+
+/// Extract a string field from a flat JSON object (handles the escapes
+/// [`esc`] emits).
 pub fn json_str(s: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = s.find(&pat)? + pat.len();
-    let rest = &s[start..];
+    let rest = json_field(s, key)?.strip_prefix('"')?;
     let mut out = String::new();
     let mut chars = rest.chars();
     while let Some(c) = chars.next() {
@@ -189,13 +205,14 @@ pub fn json_str(s: &str, key: &str) -> Option<String> {
     None
 }
 
-/// Extract a numeric field from a flat JSON object.
+/// Extract an integer field from a flat JSON object. `None` when the
+/// field is absent or its value is not an integer (`1.5`, `"8"`, `x`).
 pub fn json_num(s: &str, key: &str) -> Option<i64> {
-    let pat = format!("\"{key}\":");
-    let start = s.find(&pat)? + pat.len();
-    let digits: String =
-        s[start..].chars().take_while(|c| c.is_ascii_digit() || *c == '-').collect();
-    digits.parse().ok()
+    let v = json_field(s, key)?;
+    let end = v
+        .find(|c: char| c == ',' || c == '}' || c == ']' || c.is_whitespace())
+        .unwrap_or(v.len());
+    v[..end].parse().ok()
 }
 
 /// Extract a hex-string u64 field written by [`cell_to_json`].
@@ -433,10 +450,6 @@ pub struct SweepConfig {
     /// Run every cell with the memory profiler on; its rows join the
     /// cell fingerprint (pure observer — cycles unchanged).
     pub profile: bool,
-    /// Sharded-engine threads inside each cell. Cells run one at a time
-    /// here (checkpointing is serial by design), so the whole host
-    /// budget defaults intra-cell; bit-identical at any value.
-    pub threads: usize,
     /// Retry policy of the self-healing executor (attempts, backoff).
     pub retry: RetryPolicy,
     /// Watchdog: cancel an attempt that has produced nothing after this
@@ -469,7 +482,6 @@ impl SweepConfig {
             only: None,
             race_check: false,
             profile: false,
-            threads: dct_spmd::default_threads(),
             retry: RetryPolicy::default(),
             stuck_wall_secs: None,
             injector: None,
@@ -479,7 +491,7 @@ impl SweepConfig {
     }
 
     /// The cache-key inputs of one cell under this config. Note what is
-    /// absent: `threads`, `fast_path`, retry policy, watchdog — every
+    /// absent: `fast_path`, retry policy, watchdog — every
     /// knob the bit-identity proofs cover stays out of the key.
     pub fn key_inputs<'a>(&'a self, prog: &'a dct_ir::Program, kind: &'a str, procs: usize) -> crate::cache::KeyInputs<'a> {
         crate::cache::KeyInputs {
@@ -539,23 +551,16 @@ impl CellSim {
 
 /// Simulate one cell once, on one rung, under a cancellation token,
 /// catching panics. Runs on the supervised worker thread.
-#[allow(clippy::too_many_arguments)]
 fn compute_attempt(
     prog: &dct_ir::Program,
     cfg: &SweepConfig,
     kind: &str,
     procs: usize,
-    threads: usize,
     fast_path: bool,
     token: &CancelToken,
     ctx: &str,
 ) -> CellSim {
-    let (strategy, procs) = match kind {
-        "seq" => (Strategy::Base, 1),
-        "base" => (Strategy::Base, procs),
-        "comp" => (Strategy::CompDecomp, procs),
-        _ => (Strategy::Full, procs),
-    };
+    let (strategy, procs) = crate::cache::kind_strategy(kind, procs);
     let inj = cfg.injector.as_deref();
     let params = prog.default_params();
     let body = || -> Result<CellSim, String> {
@@ -581,7 +586,6 @@ fn compute_attempt(
         opts.max_wall_secs = cfg.max_wall_secs;
         opts.race_detect = cfg.race_check;
         opts.profile = cfg.profile;
-        opts.threads = threads.max(1);
         opts.fast_path = fast_path;
         opts.cancel = Some(token.clone());
         let r = dct_spmd::simulate(&compiled.program, &compiled.decomposition, &opts)
@@ -602,8 +606,8 @@ fn compute_attempt(
             });
         }
         // The bit-identity fingerprint: checksum bits plus every enabled
-        // observer's full output. `par_regions` and friends legitimately
-        // vary with the thread count and must stay out.
+        // observer's full output (executor counters such as
+        // `RunResult::fast` vary with the walker and must stay out).
         let bits = r.checksum.to_bits();
         if cfg.native_check {
             native_cross_check(&compiled, &opts, bits, inj, token, ctx)?;
@@ -693,13 +697,11 @@ fn native_cross_check(
 /// worker produces nothing within `stuck_wall_secs`, the supervisor fires
 /// the cancellation token and the attempt dies at its next sync-point
 /// boundary (then gets retried on a weaker rung).
-#[allow(clippy::too_many_arguments)]
 fn supervised_attempt(
     prog: &dct_ir::Program,
     cfg: &SweepConfig,
     kind: &str,
     procs: usize,
-    threads: usize,
     fast_path: bool,
     token: &CancelToken,
     ctx: &str,
@@ -708,8 +710,7 @@ fn supervised_attempt(
     std::thread::scope(|s| {
         let worker_token = token.clone();
         s.spawn(move || {
-            let sim =
-                compute_attempt(prog, cfg, kind, procs, threads, fast_path, &worker_token, ctx);
+            let sim = compute_attempt(prog, cfg, kind, procs, fast_path, &worker_token, ctx);
             let _ = tx.send(sim);
         });
         match cfg.stuck_wall_secs {
@@ -774,10 +775,9 @@ fn compute_cell_supervised(
     let mut last_err = "no attempt was made".to_string();
     for attempt in 0..max_attempts {
         let rung = RetryRung::for_attempt(attempt);
-        let (threads, fast_path) = rung.params(cfg.threads);
         let token = CancelToken::new();
         let ctx = format!("{cell_id} attempt {} (rung {})", attempt + 1, rung.label());
-        let sim = supervised_attempt(prog, cfg, kind, procs, threads, fast_path, &token, &ctx);
+        let sim = supervised_attempt(prog, cfg, kind, procs, rung.fast_path(), &token, &ctx);
         if token.is_cancelled() {
             rep.cancelled += 1;
         }
@@ -878,10 +878,6 @@ pub fn run_cell_supervised(
 /// cell is simulated on a supervised worker and checkpointed the moment
 /// it finishes; the report carries everything the run had to survive.
 pub fn run_sweep_supervised(cfg: &SweepConfig) -> io::Result<SweepReport> {
-    eprintln!(
-        "[thread budget: 1 cell in flight x {} intra-cell thread(s) (checkpointed sweep is serial)]",
-        cfg.threads.max(1)
-    );
     let inj = cfg.injector.as_deref();
     let mut rep = SweepReport::default();
     let done: Vec<Cell> = if cfg.resume {

@@ -40,7 +40,6 @@ impl Drop for Scratch {
 fn small_sweep(out_dir: PathBuf, store: Option<Arc<ResultStore>>) -> SweepConfig {
     let mut cfg = SweepConfig::new(4, 0.05, out_dir);
     cfg.only = Some(vec!["stencil".to_string()]);
-    cfg.threads = 2;
     cfg.retry.backoff_base_ms = 1;
     cfg.cache = store;
     cfg
@@ -74,21 +73,15 @@ fn warm_cache_executes_zero_cells_bit_identical() {
     }
 }
 
-/// Changing an option that is *in* the key (race_check) must miss; the
-/// bit-identity knobs (threads) must still hit.
+/// Changing an option that is *in* the key (race_check) must miss. (Every
+/// key input, one field at a time, is covered by the cache module's
+/// `key_changes_with_every_input_field`.)
 #[test]
-fn cache_keys_respect_observers_but_not_threads() {
+fn cache_keys_respect_observers() {
     let dir = Scratch::new();
     let store = Arc::new(ResultStore::open(dir.path("cache"), None).unwrap());
     let base = run_sweep_supervised(&small_sweep(dir.path("a"), Some(store.clone()))).unwrap();
     assert_eq!(base.executed, 4);
-
-    // Different thread count: bit-identical by contract, so it hits.
-    let mut cfg = small_sweep(dir.path("b"), Some(store.clone()));
-    cfg.threads = 1;
-    let rethreaded = run_sweep_supervised(&cfg).unwrap();
-    assert_eq!(rethreaded.executed, 0, "threads are excluded from the key");
-    assert_eq!(rethreaded.cache_hits, 4);
 
     // Race detection joins the fingerprint, so it must be keyed.
     let mut cfg = small_sweep(dir.path("c"), Some(store.clone()));
@@ -187,7 +180,6 @@ fn chaos_with_cache_converges() {
     let mut cfg = ChaosConfig::new(42, 4, dir.path("chaos"));
     cfg.procs = 4;
     cfg.scale = 0.05;
-    cfg.threads = 2;
     cfg.only = Some(vec!["stencil".to_string()]);
     cfg.stuck_wall_secs = 0.3;
     cfg.cache = true;

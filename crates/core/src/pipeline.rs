@@ -251,37 +251,18 @@ impl Compiler {
         checked_run(simulate(&c.program, &c.decomposition, &opts))
     }
 
-    /// [`Compiler::simulate`] with an explicit intra-simulation thread
-    /// count for the sharded engine (`1` = exact sequential walk; any
-    /// value is bit-identical). Sweeps that already run cells on a worker
-    /// pool use this to keep cells-in-flight x intra-cell threads within
-    /// the host budget.
-    pub fn simulate_threads(
-        &self,
-        c: &Compiled,
-        procs: usize,
-        params: &[i64],
-        threads: usize,
-    ) -> DctResult<RunResult> {
-        let mut opts = rung_sim_options(c.rung, procs, params.to_vec());
-        opts.threads = threads.max(1);
-        checked_run(simulate(&c.program, &c.decomposition, &opts))
-    }
-
-    /// [`Compiler::simulate_threads`] under a cooperative cancellation
-    /// token. A supervisor holds a clone of the token; if it fires, the
-    /// run aborts at the next sync-point boundary and this returns a
-    /// [`DctError`] of kind `Cancelled` instead of a partial result.
+    /// [`Compiler::simulate`] under a cooperative cancellation token. A
+    /// supervisor holds a clone of the token; if it fires, the run aborts
+    /// at the next sync-point boundary and this returns a [`DctError`] of
+    /// kind `Cancelled` instead of a partial result.
     pub fn simulate_supervised(
         &self,
         c: &Compiled,
         procs: usize,
         params: &[i64],
-        threads: usize,
         cancel: dct_ir::CancelToken,
     ) -> DctResult<RunResult> {
         let mut opts = rung_sim_options(c.rung, procs, params.to_vec());
-        opts.threads = threads.max(1);
         opts.cancel = Some(cancel);
         checked_run(simulate(&c.program, &c.decomposition, &opts))
     }

@@ -3,7 +3,7 @@
 //! A [`CancelToken`] is a cheap, cloneable flag a supervisor (the sweep
 //! watchdog, a future job-queue service) can set from another thread.
 //! The simulator polls it at *sync-point boundaries* — nest ends, lane
-//! switches, pipeline-chain handoffs, parallel-shard chunk edges — and
+//! switches, pipeline-chain handoffs — and
 //! aborts the run with a `cancelled` result instead of relying on the
 //! cycle/wall budget alone. Polling at sync points (never mid-segment)
 //! keeps the check off the innermost hot path and means an aborted run

@@ -1,10 +1,9 @@
 //! The repository-wide checksum-bits format.
 //!
-//! Every execution engine — the sequential simulator walk, the sharded
-//! parallel engine, and the native multithreaded backend — fingerprints a
-//! run by folding the final array contents through *exactly* this
-//! algorithm, and determinism oracles compare the results via
-//! [`f64::to_bits`]. Keeping the fold here, in the IR crate both engines
+//! Every execution engine — the simulator's walkers and the native
+//! multithreaded backend — fingerprints a run by folding the final array
+//! contents through *exactly* this algorithm, and determinism oracles
+//! compare the results via [`f64::to_bits`]. Keeping the fold here, in the IR crate both engines
 //! already depend on, makes "same checksum bits" a statement about one
 //! shared function instead of two implementations that merely look alike.
 

@@ -204,7 +204,7 @@ impl Cache {
     }
 
     /// True when the cache is direct-mapped (packed representation); the
-    /// parallel engine's occupancy analysis assumes one resident per set.
+    /// line-batched `access_seg` walk assumes one resident per set.
     pub fn is_direct(&self) -> bool {
         matches!(self.repr, Repr::Direct { .. })
     }
@@ -220,44 +220,6 @@ impl Cache {
                 (s != EMPTY).then(|| unpack(s))
             }
             Repr::Assoc { .. } => None,
-        }
-    }
-
-    /// Visit every resident line. The direct-mapped scan walks the packed
-    /// slot array four sets at a time with independent emptiness tests, so
-    /// the occupancy sweep of the parallel engine's hazard check is not a
-    /// serial chain of load-compare-branch per set.
-    pub fn for_each_resident(&self, mut f: impl FnMut(u64, LineState)) {
-        match &self.repr {
-            Repr::Direct { slots } => {
-                let mut chunks = slots.chunks_exact(4);
-                for c in &mut chunks {
-                    let (a, b, d, e) = (c[0], c[1], c[2], c[3]);
-                    // One combined test skips fully-empty groups (the
-                    // common case: simulated caches are sparse relative
-                    // to the working set of a single region).
-                    if a & b & d & e == EMPTY {
-                        continue;
-                    }
-                    for &s in c {
-                        if s != EMPTY {
-                            let (tag, st) = unpack(s);
-                            f(tag, st);
-                        }
-                    }
-                }
-                for &s in chunks.remainder() {
-                    if s != EMPTY {
-                        let (tag, st) = unpack(s);
-                        f(tag, st);
-                    }
-                }
-            }
-            Repr::Assoc { ways, .. } => {
-                for w in ways.iter().flatten() {
-                    f(w.tag, w.state);
-                }
-            }
         }
     }
 }
@@ -333,36 +295,6 @@ mod tests {
         assert_eq!(c.sets(), 16);
         assert!(c.is_direct());
         assert!(!Cache::new(256, 16, 2).is_direct());
-    }
-
-    #[test]
-    fn for_each_resident_visits_exactly_the_contents() {
-        let mut c = Cache::new(256, 16, 1); // 16 sets: 4-wide chunks + none left over
-        for line in [0u64, 3, 7, 9, 14] {
-            c.insert(line, if line == 7 { LineState::Modified } else { LineState::Shared });
-        }
-        let mut seen: Vec<(u64, LineState)> = Vec::new();
-        c.for_each_resident(|l, s| seen.push((l, s)));
-        seen.sort_by_key(|&(l, s)| (l, s as u8));
-        assert_eq!(
-            seen,
-            vec![
-                (0, LineState::Shared),
-                (3, LineState::Shared),
-                (7, LineState::Modified),
-                (9, LineState::Shared),
-                (14, LineState::Shared),
-            ]
-        );
-        // Non-multiple-of-4 set count exercises the remainder loop.
-        let mut c = Cache::new(32, 16, 1); // 2 sets
-        c.insert(1, LineState::Shared);
-        let mut n = 0;
-        c.for_each_resident(|l, _| {
-            assert_eq!(l, 1);
-            n += 1;
-        });
-        assert_eq!(n, 1);
     }
 
     #[test]

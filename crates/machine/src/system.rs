@@ -14,15 +14,15 @@ use crate::probe::{AccessLevel, MemProbe};
 
 /// Directory entry for one cache line.
 #[derive(Clone, Copy, Default, Debug)]
-pub(crate) struct DirEntry {
+struct DirEntry {
     /// Bitmask of processors holding the line (any state).
-    pub(crate) sharers: u64,
+    sharers: u64,
     /// Processor holding the line Modified, if any.
-    pub(crate) dirty: Option<u8>,
+    dirty: Option<u8>,
 }
 
 /// No-owner sentinel in [`DirTable::dirty`] (processor ids are < 64).
-pub(crate) const NO_OWNER: u8 = u8::MAX;
+const NO_OWNER: u8 = u8::MAX;
 
 /// Directory keyed by line number, stored as two flat growable arrays
 /// (sharer bitmask and dirty-owner byte). Line numbers are dense small
@@ -32,7 +32,7 @@ pub(crate) const NO_OWNER: u8 = u8::MAX;
 /// TLB and prefetchers handle well, and 9 bytes per line instead of 16.
 /// Lines beyond the grown region read as default (no sharers, clean),
 /// matching the old `get(..).unwrap_or_default()` semantics.
-pub(crate) struct DirTable {
+struct DirTable {
     sharers: Vec<u64>,
     dirty: Vec<u8>,
 }
@@ -43,7 +43,7 @@ impl DirTable {
     }
 
     #[inline]
-    pub(crate) fn get(&self, line: u64) -> DirEntry {
+    fn get(&self, line: u64) -> DirEntry {
         let l = line as usize;
         match self.sharers.get(l) {
             Some(&s) => {
@@ -64,7 +64,7 @@ impl DirTable {
     }
 
     #[inline]
-    pub(crate) fn set(&mut self, line: u64, sharers: u64, dirty: Option<usize>) {
+    fn set(&mut self, line: u64, sharers: u64, dirty: Option<usize>) {
         let l = line as usize;
         if l >= self.sharers.len() {
             self.grow(l);
@@ -77,7 +77,7 @@ impl DirTable {
     /// line. Untouched lines (beyond the grown region) have no bits to
     /// clear.
     #[inline]
-    pub(crate) fn drop_sharer(&mut self, proc: usize, line: u64) {
+    fn drop_sharer(&mut self, proc: usize, line: u64) {
         let l = line as usize;
         if let Some(s) = self.sharers.get_mut(l) {
             *s &= !(1u64 << proc);
@@ -92,7 +92,7 @@ impl DirTable {
 /// First-touch page homes as a growable flat array keyed by page number
 /// (`u32::MAX` = unassigned). Page numbers are small dense integers, so
 /// direct indexing beats hashing for the same reason as [`DirTable`].
-pub(crate) struct PageHomes {
+struct PageHomes {
     homes: Vec<u32>,
 }
 
@@ -105,7 +105,7 @@ impl PageHomes {
 
     /// Home of `page`, assigning `cluster` on first touch.
     #[inline]
-    pub(crate) fn get_or_assign(&mut self, page: u64, cluster: u32) -> u32 {
+    fn get_or_assign(&mut self, page: u64, cluster: u32) -> u32 {
         let p = page as usize;
         if p >= self.homes.len() {
             self.homes.resize(p + 1, HOME_NONE);
@@ -114,15 +114,6 @@ impl PageHomes {
             self.homes[p] = cluster;
         }
         self.homes[p]
-    }
-
-    /// Home of `page` without assigning (frozen read for shard workers).
-    #[inline]
-    pub(crate) fn home(&self, page: u64) -> Option<u32> {
-        match self.homes.get(page as usize) {
-            Some(&h) if h != HOME_NONE => Some(h),
-            _ => None,
-        }
     }
 }
 
@@ -217,39 +208,39 @@ impl Stats {
 /// most-recently-used entry of its set, so re-touching it cannot change
 /// any later eviction decision and relative LRU order is preserved.
 #[derive(Clone, Copy)]
-pub(crate) struct LastLine {
+struct LastLine {
     /// `u64::MAX` = invalid (no line can reach that number: addresses are
     /// divided by the line size).
-    pub(crate) line: u64,
-    pub(crate) state: LineState,
+    line: u64,
+    state: LineState,
 }
 
 impl LastLine {
-    pub(crate) const NONE: LastLine = LastLine { line: u64::MAX, state: LineState::Shared };
+    const NONE: LastLine = LastLine { line: u64::MAX, state: LineState::Shared };
 }
 
 /// The simulated machine.
 pub struct Machine {
     pub cfg: MachineConfig,
-    pub(crate) l1: Vec<Cache>,
-    pub(crate) l2: Vec<Cache>,
-    pub(crate) dir: DirTable,
+    l1: Vec<Cache>,
+    l2: Vec<Cache>,
+    dir: DirTable,
     /// First-touch page homes (page number -> cluster).
-    pub(crate) page_home: PageHomes,
+    page_home: PageHomes,
     /// Per-processor last-touched-line record (see [`LastLine`]).
-    pub(crate) last_line: Vec<LastLine>,
+    last_line: Vec<LastLine>,
     /// Per-processor `(page, home)` memo for the page-home lookup. Safe
     /// because first-touch homes are immutable once assigned.
-    pub(crate) last_page: Vec<(u64, u32)>,
+    last_page: Vec<(u64, u32)>,
     /// `log2(line_bytes)`: the line number of every access is computed with
     /// a shift instead of a 64-bit divide (the divide sat at the head of
     /// the dependency chain of every simulated access).
-    pub(crate) line_shift: u32,
+    line_shift: u32,
     /// `log2(page_bytes)` when the page size is a power of two (both
     /// presets); `None` falls back to division.
-    pub(crate) page_shift: Option<u32>,
+    page_shift: Option<u32>,
     /// Memoised `cfg.cluster_of(proc)` (a divide by `procs_per_cluster`).
-    pub(crate) cluster: Vec<u32>,
+    cluster: Vec<u32>,
     pub stats: Stats,
     /// Optional 4-C miss classifiers (one per processor).
     classifiers: Option<Vec<Classifier>>,
@@ -289,7 +280,7 @@ impl Machine {
     }
 
     #[inline]
-    pub(crate) fn page_of(&self, byte_addr: u64) -> u64 {
+    fn page_of(&self, byte_addr: u64) -> u64 {
         match self.page_shift {
             Some(s) => byte_addr >> s,
             None => byte_addr / self.cfg.page_bytes as u64,
@@ -641,7 +632,7 @@ pub const MAX_SEG_SLOTS: usize = 32;
 /// Rounds (including the current one) for which `byte + t*dbyte` stays on
 /// the same cache line. `dbyte == 0` never leaves the line.
 #[inline]
-pub(crate) fn line_run(byte: u64, dbyte: i64, shift: u32) -> u64 {
+fn line_run(byte: u64, dbyte: i64, shift: u32) -> u64 {
     if dbyte == 0 {
         return u64::MAX;
     }
@@ -827,94 +818,6 @@ impl Machine {
             remaining -= advanced;
         }
         busy
-    }
-}
-
-/// The per-processor machine state the parallel engine moves into a
-/// worker for the duration of one sync-free region: both cache levels,
-/// the last-line/last-page memos, and the event counters. Directory and
-/// page-home tables stay behind in the [`Machine`] (workers read them
-/// frozen and write overlays — see [`crate::shard`]).
-pub struct ProcSlice {
-    pub(crate) l1: Cache,
-    pub(crate) l2: Cache,
-    pub(crate) last_line: LastLine,
-    pub(crate) last_page: (u64, u32),
-    pub(crate) stats: ProcStats,
-}
-
-impl Machine {
-    /// Line number of a byte address.
-    #[inline]
-    pub fn line_of(&self, byte_addr: u64) -> u64 {
-        byte_addr >> self.line_shift
-    }
-
-    /// Page number of a byte address.
-    #[inline]
-    pub fn page_num_of(&self, byte_addr: u64) -> u64 {
-        self.page_of(byte_addr)
-    }
-
-    /// Directory entry of a line: `(sharer bitmask, dirty owner)`.
-    #[inline]
-    pub fn dir_entry(&self, line: u64) -> (u64, Option<usize>) {
-        let e = self.dir.get(line);
-        (e.sharers, e.dirty.map(|p| p as usize))
-    }
-
-    /// Has the page holding `byte_addr` been assigned a home yet?
-    #[inline]
-    pub fn page_is_assigned(&self, byte_addr: u64) -> bool {
-        let p = self.page_of(byte_addr) as usize;
-        self.page_home.homes.get(p).is_some_and(|&h| h != HOME_NONE)
-    }
-
-    /// A processor's L1, read-only (occupancy analysis).
-    pub fn l1_of(&self, proc: usize) -> &Cache {
-        &self.l1[proc]
-    }
-
-    /// A processor's L2, read-only (occupancy analysis).
-    pub fn l2_of(&self, proc: usize) -> &Cache {
-        &self.l2[proc]
-    }
-
-    /// Whether the configuration supports region sharding: the occupancy
-    /// hazard analysis assumes direct-mapped caches (one resident per
-    /// set), and miss classifiers are not forked across workers.
-    pub fn supports_sharding(&self) -> bool {
-        self.classifiers.is_none()
-            && self.l1.iter().all(|c| c.is_direct())
-            && self.l2.iter().all(|c| c.is_direct())
-    }
-
-    /// Detach the per-processor state of `procs` for a parallel region.
-    /// The processors must not be touched through `self` until
-    /// [`Machine::restore_proc_slices`] puts the slices back.
-    pub fn take_proc_slices(&mut self, procs: &[usize]) -> Vec<ProcSlice> {
-        procs
-            .iter()
-            .map(|&p| ProcSlice {
-                l1: std::mem::replace(&mut self.l1[p], Cache::new(16, 16, 1)),
-                l2: std::mem::replace(&mut self.l2[p], Cache::new(16, 16, 1)),
-                last_line: std::mem::replace(&mut self.last_line[p], LastLine::NONE),
-                last_page: std::mem::replace(&mut self.last_page[p], (u64::MAX, 0)),
-                stats: std::mem::take(&mut self.stats.per_proc[p]),
-            })
-            .collect()
-    }
-
-    /// Re-attach slices taken by [`Machine::take_proc_slices`] (same
-    /// processor order).
-    pub fn restore_proc_slices(&mut self, procs: &[usize], slices: Vec<ProcSlice>) {
-        for (&p, s) in procs.iter().zip(slices) {
-            self.l1[p] = s.l1;
-            self.l2[p] = s.l2;
-            self.last_line[p] = s.last_line;
-            self.last_page[p] = s.last_page;
-            self.stats.per_proc[p] = s.stats;
-        }
     }
 }
 

@@ -17,12 +17,14 @@
 //!
 //! Query parameters `scale_milli` (integer, thousandths of the paper
 //! size) and `procs` tune the synchronous endpoints; sweep jobs carry
-//! the same fields in their JSON body. Everything cacheable reads and
-//! writes the shared content-addressed store.
+//! the same fields in their JSON body. A field or parameter that is
+//! present but unparseable answers 400; it never falls back to its
+//! default. Everything cacheable reads and writes the shared
+//! content-addressed store.
 
 use crate::queue::{JobQueue, JobSpec, QueueConfig};
 use dct_bench::sweep::{self, render_sweep, scale_key, CellOutcome};
-use dct_bench::{artifact_cache_key, harness, ResultStore, ThreadBudget};
+use dct_bench::{artifact_cache_key, harness, ResultStore};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -42,16 +44,13 @@ pub struct ServeConfig {
     pub max_cache_bytes: Option<u64>,
     /// Checkpoint directory for queued cells.
     pub out_dir: PathBuf,
-    /// Queue worker threads.
+    /// Queue worker threads (cells in flight at once).
     pub workers: usize,
-    /// Sharded-engine threads inside each cell.
-    pub threads: usize,
 }
 
 struct State {
     queue: Arc<JobQueue>,
     store: Arc<ResultStore>,
-    threads: usize,
     stop: AtomicBool,
     port: u16,
 }
@@ -71,14 +70,12 @@ impl Server {
             out_dir: cfg.out_dir.clone(),
             store: Arc::clone(&store),
             workers: cfg.workers,
-            threads: cfg.threads,
         });
         let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
         let port = listener.local_addr()?.port();
         let state = Arc::new(State {
             queue,
             store,
-            threads: cfg.threads,
             stop: AtomicBool::new(false),
             port,
         });
@@ -181,16 +178,18 @@ fn query_param(query: &str, key: &str) -> Option<String> {
         .map(|(_, v)| v.to_string())
 }
 
-/// `scale_milli` / `procs` with server defaults (paper scale, 8 procs —
-/// modest because synchronous endpoints run on the request thread).
-fn query_scale_procs(query: &str) -> (f64, usize) {
-    let scale = query_param(query, "scale_milli")
-        .and_then(|v| v.parse::<i64>().ok())
-        .map(|m| m as f64 / 1000.0)
-        .unwrap_or(1.0);
-    let procs =
-        query_param(query, "procs").and_then(|v| v.parse().ok()).unwrap_or(8);
-    (scale, procs)
+/// Integer query parameter `key`, or `default` when it is absent. A value
+/// that is present but not an integer is an error, never the default.
+fn query_int(query: &str, key: &str, default: i64) -> Result<i64, String> {
+    match query_param(query, key) {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| format!("{key} must be an integer, got '{v}'\n")),
+    }
+}
+
+/// `scale_milli` with the server default (paper scale) as a scale factor.
+fn query_scale(query: &str) -> Result<f64, String> {
+    Ok(query_int(query, "scale_milli", 1000)? as f64 / 1000.0)
 }
 
 // ---------------------------------------------------------- handlers --
@@ -239,14 +238,42 @@ fn api_stats(st: &State, stream: &mut TcpStream) {
     respond(stream, "200 OK", "application/json", &body);
 }
 
-fn api_sweep(st: &State, stream: &mut TcpStream, body: &str) {
-    let spec = JobSpec {
-        bench: sweep::json_str(body, "bench"),
-        scale: sweep::json_num(body, "scale_milli").map(|m| m as f64 / 1000.0).unwrap_or(1.0),
-        procs: sweep::json_num(body, "procs").map(|p| p.max(1) as usize).unwrap_or(32),
-        race_check: body.contains("\"race_check\":true"),
+/// Parse a `POST /api/sweep` body. Absent fields (and a `null` bench)
+/// take their defaults: whole suite, paper scale, 32 processors, no race
+/// check. A field that is present but not a value of its type is an
+/// error, never a silent fall-back to the default.
+fn parse_sweep_spec(body: &str) -> Result<JobSpec, String> {
+    let num = |key: &str, default: i64| -> Result<i64, String> {
+        match sweep::json_field(body, key) {
+            None => Ok(default),
+            Some(_) => sweep::json_num(body, key)
+                .ok_or_else(|| format!("\"{key}\" must be an integer")),
+        }
     };
-    match st.queue.submit(&spec) {
+    let bench = match sweep::json_field(body, "bench") {
+        None => None,
+        Some(v) if v.starts_with("null") => None,
+        Some(_) => Some(
+            sweep::json_str(body, "bench").ok_or_else(|| "\"bench\" must be a string".to_string())?,
+        ),
+    };
+    let race_check = match sweep::json_field(body, "race_check") {
+        None => false,
+        Some(v) if v.starts_with("true") => true,
+        Some(v) if v.starts_with("false") => false,
+        Some(_) => return Err("\"race_check\" must be true or false".to_string()),
+    };
+    Ok(JobSpec {
+        bench,
+        scale: num("scale_milli", 1000)? as f64 / 1000.0,
+        procs: num("procs", 32)?.max(1) as usize,
+        race_check,
+    })
+}
+
+fn api_sweep(st: &State, stream: &mut TcpStream, body: &str) {
+    let submitted = parse_sweep_spec(body).and_then(|spec| st.queue.submit(&spec));
+    match submitted {
         Ok(job) => respond(
             stream,
             "200 OK",
@@ -367,8 +394,13 @@ fn race_certificate(job: &crate::queue::Job) -> String {
 
 fn api_explain(st: &State, stream: &mut TcpStream, path: &str, query: &str) {
     let bench = &path["/api/explain/".len()..];
-    let (scale, procs) = query_scale_procs(query);
-    match dct_bench::explain_cached(bench, scale, procs, st.threads, &st.store) {
+    // 8 processors by default: modest, because explain runs on the
+    // request thread.
+    let (scale, procs) = match (query_scale(query), query_int(query, "procs", 8)) {
+        (Ok(s), Ok(p)) => (s, p.max(1) as usize),
+        (Err(e), _) | (_, Err(e)) => return respond(stream, "400 Bad Request", "text/plain", &e),
+    };
+    match dct_bench::explain_cached(bench, scale, procs, &st.store) {
         Some((text, json)) => {
             if query_param(query, "format").as_deref() == Some("json") {
                 respond(stream, "200 OK", "application/json", &json);
@@ -382,10 +414,18 @@ fn api_explain(st: &State, stream: &mut TcpStream, path: &str, query: &str) {
 
 fn api_figure(st: &State, stream: &mut TcpStream, path: &str, query: &str) {
     let fig = &path["/api/figure/".len()..];
-    let (scale, procs) = query_scale_procs(query);
-    let procs_list: Vec<usize> = query_param(query, "procs")
-        .map(|v| v.split(',').filter_map(|x| x.parse().ok()).collect())
-        .unwrap_or_else(|| vec![procs]);
+    let procs_list = match query_param(query, "procs") {
+        None => Ok(vec![8]),
+        Some(v) => v
+            .split(',')
+            .map(|x| x.parse::<usize>().ok().filter(|&p| p > 0))
+            .collect::<Option<Vec<usize>>>()
+            .ok_or_else(|| format!("procs must be a comma-separated list of processor counts, got '{v}'\n")),
+    };
+    let (scale, procs_list) = match (query_scale(query), procs_list) {
+        (Ok(s), Ok(l)) => (s, l),
+        (Err(e), _) | (_, Err(e)) => return respond(stream, "400 Bad Request", "text/plain", &e),
+    };
     let spec = match harness::figure(fig, scale) {
         Some(s) => s,
         None => return respond(stream, "404 Not Found", "text/plain", "unknown figure\n"),
@@ -404,7 +444,7 @@ fn api_figure(st: &State, stream: &mut TcpStream, path: &str, query: &str) {
             return respond(stream, "200 OK", "text/plain", &text);
         }
     }
-    match harness::run_figure_parallel(&spec, &procs_list, ThreadBudget::single_cell(Some(st.threads))) {
+    match harness::run_figure_parallel(&spec, &procs_list, 1) {
         Ok(r) => {
             let text = r.render();
             if let Some(k) = &key {

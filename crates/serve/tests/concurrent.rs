@@ -87,7 +87,6 @@ fn concurrent_clients_execute_each_cell_exactly_once() {
         max_cache_bytes: None,
         out_dir: dir.path("serve"),
         workers: 3,
-        threads: 1,
     })
     .expect("server start");
     let port = server.port;

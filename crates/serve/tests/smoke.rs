@@ -86,7 +86,6 @@ fn serve_smoke_end_to_end() {
         max_cache_bytes: None,
         out_dir: dir.path("serve"),
         workers: 2,
-        threads: 2,
     })
     .expect("server start");
     let port = server.port;
@@ -112,7 +111,6 @@ fn serve_smoke_end_to_end() {
     // must render the exact same bytes.
     let mut cfg = SweepConfig::new(4, 0.05, dir.path("direct"));
     cfg.only = Some(vec!["stencil".to_string()]);
-    cfg.threads = 2;
     let direct = run_sweep_supervised(&cfg).expect("direct sweep");
     assert_eq!(
         table,
@@ -155,6 +153,65 @@ fn serve_smoke_end_to_end() {
     assert_eq!(http(port, "GET", "/api/explain/nonesuch", "").0, 404);
 
     // Clean shutdown: the endpoint answers, then wait() drains and joins.
+    let (status, _) = http(port, "POST", "/api/shutdown", "");
+    assert_eq!(status, 200);
+    server.wait();
+}
+
+/// Request bodies as clients write them: whitespace around `:` (Python's
+/// `json.dumps` default) must mean exactly what the compact form means —
+/// the same cells, the same cache keys, the same table. A body field or
+/// query parameter that is present but unparseable is a 400, never a
+/// silent fall-back to its default (for `scale_milli`, the paper scale).
+#[test]
+fn spaced_json_matches_compact_and_bad_values_are_400() {
+    let dir = Scratch::new();
+    let server = Server::start(&ServeConfig {
+        port: 0,
+        cache_dir: dir.path("cache"),
+        max_cache_bytes: None,
+        out_dir: dir.path("serve"),
+        workers: 2,
+    })
+    .expect("server start");
+    let port = server.port;
+
+    for bad in [
+        "{\"bench\":\"stencil\",\"scale_milli\":\"50\"}",
+        "{\"bench\":\"stencil\",\"scale_milli\": 0.05}",
+        "{\"bench\":\"stencil\",\"procs\": four}",
+        "{\"bench\": 7}",
+        "{\"bench\":\"stencil\",\"race_check\": 1}",
+    ] {
+        let (status, resp) = http(port, "POST", "/api/sweep", bad);
+        assert_eq!(status, 400, "{bad} must be rejected: {resp}");
+        assert!(resp.contains("\"error\""), "{bad}: {resp}");
+    }
+    let (_, stats) = http(port, "GET", "/api/stats", "");
+    assert!(stats.contains("\"jobs\":0"), "rejected bodies must not create jobs: {stats}");
+    for bad in [
+        "/api/explain/stencil?scale_milli=abc",
+        "/api/explain/stencil?scale_milli=50&procs=four",
+        "/api/figure/fig8?scale_milli=50&procs=1,x",
+        "/api/figure/fig8?scale_milli=0.05&procs=1",
+    ] {
+        let (status, resp) = http(port, "GET", bad, "");
+        assert_eq!(status, 400, "{bad} must be rejected: {resp}");
+    }
+
+    let compact = submit(port, "{\"bench\":\"stencil\",\"scale_milli\":50,\"procs\":4}");
+    wait_done(port, compact);
+    let (_, table) = http(port, "GET", &format!("/api/job/{compact}/table"), "");
+
+    let spaced =
+        submit(port, "{ \"bench\" : \"stencil\", \"scale_milli\": 50, \"procs\" :4, \"race_check\": false }");
+    wait_done(port, spaced);
+    let (_, spaced_table) = http(port, "GET", &format!("/api/job/{spaced}/table"), "");
+    assert_eq!(spaced_table, table, "spaced JSON must render the compact job's table");
+    let (_, stats) = http(port, "GET", "/api/stats", "");
+    assert!(stats.contains("\"executed\":4"), "spaced job must reuse the compact job's cells: {stats}");
+    assert!(stats.contains("\"cache_hits\":4"), "spaced job must hit every cell: {stats}");
+
     let (status, _) = http(port, "POST", "/api/shutdown", "");
     assert_eq!(status, 200);
     server.wait();

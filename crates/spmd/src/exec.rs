@@ -77,8 +77,8 @@ impl FastPathStats {
         }
     }
 
-    /// Fold counters from a lane or worker (plain integer sums).
-    pub(crate) fn accumulate(&mut self, o: &FastPathStats) {
+    /// Fold a lane's counters in (plain integer sums).
+    fn accumulate(&mut self, o: &FastPathStats) {
         self.fast_iters += o.fast_iters;
         self.slow_iters += o.slow_iters;
         self.segments += o.segments;
@@ -127,12 +127,11 @@ pub struct RunResult {
     /// when the run was executed with `profile` enabled (`None` =
     /// profiling was off).
     pub mem_profile: Option<MemProfile>,
-    /// Sync-free regions executed by the sharded parallel engine.
-    /// Observability only: legitimately varies with the thread count, so
-    /// determinism comparisons must not include it.
+    /// Always 0: there is no intra-cell parallel engine. Kept for
+    /// callers that still read it.
     pub par_regions: u64,
-    /// Sync-free regions executed on the sequential walk (all of them
-    /// when `threads == 1` or a region fails the independence analysis).
+    /// Nest executions (init and compute, every time step), all on the
+    /// one sequential walk.
     pub seq_regions: u64,
 }
 
@@ -215,7 +214,7 @@ fn stack_depth(ops: &[BodyOp]) -> usize {
 /// and its right-hand side flattened to postfix [`BodyOp`]s so the hot
 /// loop runs a linear instruction array instead of recursing through the
 /// boxed expression tree.
-pub(crate) struct WalkCtx<'n> {
+struct WalkCtx<'n> {
     nest: &'n SpmdNest,
     /// `reads[s]` = read refs of statement `s` in `Expr::collect_refs`
     /// order (which matches `eval`'s recursion order).
@@ -233,7 +232,7 @@ pub(crate) struct WalkCtx<'n> {
 }
 
 impl<'n> WalkCtx<'n> {
-    pub(crate) fn new(nest: &'n SpmdNest) -> WalkCtx<'n> {
+    fn new(nest: &'n SpmdNest) -> WalkCtx<'n> {
         let reads: Vec<Vec<&'n ArrayRef>> = nest
             .source
             .body
@@ -271,11 +270,11 @@ impl<'n> WalkCtx<'n> {
 
 /// The interpreter.
 pub struct Executor<'a> {
-    pub(crate) sp: &'a SpmdProgram,
-    pub(crate) machine: Machine,
-    pub(crate) arenas: Vec<Vec<f64>>,
-    pub(crate) clocks: Vec<u64>,
-    pub(crate) cost: CostModel,
+    sp: &'a SpmdProgram,
+    machine: Machine,
+    arenas: Vec<Vec<f64>>,
+    clocks: Vec<u64>,
+    cost: CostModel,
     barriers: u64,
     /// Execute innermost levels through the strided segment engine
     /// (default). Disable to force the general walk everywhere — used by
@@ -296,12 +295,9 @@ pub struct Executor<'a> {
     /// already-decided outcome and cost, so cycles, statistics and
     /// results are unchanged; the run result gains a [`MemProfile`].
     pub profile: bool,
-    /// Host threads for intra-region parallel simulation. `1` (the
-    /// default for directly constructed executors) is exactly the old
-    /// sequential code path; `> 1` lets provably independent sync-free
-    /// regions execute sharded across host workers with a deterministic
-    /// merge — cycles, checksums, race reports, and profiles stay
-    /// bit-identical to the sequential walk (see [`crate::par`]).
+    /// Ignored: a simulation always runs on the calling thread (host
+    /// parallelism comes from running several cells at once). Kept only
+    /// so callers that still assign it build.
     pub threads: usize,
     /// Abort the run once the slowest processor clock exceeds this many
     /// simulated cycles (checked at nest boundaries).
@@ -310,19 +306,18 @@ pub struct Executor<'a> {
     /// boundaries).
     pub max_wall: Option<std::time::Duration>,
     /// Cooperative cancellation flag, polled at sync-point boundaries
-    /// (nest ends, lane switches, pipeline-chain members, parallel-shard
-    /// chunks). `None` = never cancelled; polling costs one atomic load
+    /// (nest ends, lane switches, pipeline-chain members). `None` = never cancelled; polling costs one atomic load
     /// per boundary, nothing on the innermost path.
     pub cancel: Option<dct_ir::CancelToken>,
     /// Per-processor grid coordinates, precomputed.
-    pub(crate) coords: Vec<Vec<usize>>,
+    coords: Vec<Vec<usize>>,
     /// Reusable iteration vector (hoisted out of the per-processor and
     /// per-tile loops; the walk leaves it zeroed on exit).
     scratch_ivec: Vec<i64>,
     /// Scratch buffers for allocation-free address computation (shared by
-    /// every sequential lane; parallel workers carry their own).
-    pub(crate) scratch: Scratch,
-    pub(crate) fast: FastPathStats,
+    /// every lane).
+    scratch: Scratch,
+    fast: FastPathStats,
     /// Per-compute-nest busy-cycle accumulators.
     nest_cycles: Vec<u64>,
     init_cycles: u64,
@@ -330,14 +325,11 @@ pub struct Executor<'a> {
     current_acc: Option<usize>,
     /// The happens-before detector, created at `run()` when
     /// `race_detect` is set (boxed: the executor hot state stays small).
-    pub(crate) race: Option<Box<Detector>>,
+    race: Option<Box<Detector>>,
     /// The memory profiler, created at `run()` when `profile` is set.
-    pub(crate) profiler: Option<Box<Profiler>>,
-    /// Sync-free regions executed by the sharded parallel engine vs the
-    /// sequential walk (observability only — never part of determinism
-    /// comparisons, since the split legitimately varies with `threads`).
-    pub(crate) par_regions: u64,
-    pub(crate) seq_regions: u64,
+    profiler: Option<Box<Profiler>>,
+    /// Nest executions so far (reported as `RunResult::seq_regions`).
+    regions: u64,
 }
 
 impl<'a> Executor<'a> {
@@ -369,8 +361,7 @@ impl<'a> Executor<'a> {
             current_acc: None,
             race: None,
             profiler: None,
-            par_regions: 0,
-            seq_regions: 0,
+            regions: 0,
         }
     }
 
@@ -483,15 +474,15 @@ impl<'a> Executor<'a> {
                     .collect();
                 p.snapshot(sites, self.sp.init.len(), self.sp.array_names.clone())
             }),
-            par_regions: self.par_regions,
-            seq_regions: self.seq_regions,
+            par_regions: 0,
+            seq_regions: self.regions,
         }
     }
 
     /// Has the cooperative cancellation token been set? Polled at every
     /// sync-point boundary; a cancelled run aborts with a partial result
     /// flagged `cancelled` that the supervisor discards.
-    pub(crate) fn cancel_requested(&self) -> bool {
+    fn cancel_requested(&self) -> bool {
         self.cancel.as_ref().is_some_and(|t| t.is_cancelled())
     }
 
@@ -575,20 +566,11 @@ impl<'a> Executor<'a> {
         if let Some(pf) = self.profiler.as_deref_mut() {
             pf.set_site(if init { idx } else { sp.init.len() + idx });
         }
-        // The parallel engine gets first refusal: it executes the region
-        // sharded only when its independence analysis proves the merge
-        // reproduces the sequential walk bit for bit, and declines
-        // otherwise (tiny regions, cross-shard conflicts, unsupported
-        // machine configurations).
-        if self.threads > 1 && crate::par::try_parallel(self, nest, params) {
-            self.par_regions += 1;
+        self.regions += 1;
+        if nest.pipeline.is_some() {
+            self.exec_pipelined(nest, params);
         } else {
-            self.seq_regions += 1;
-            if nest.pipeline.is_some() {
-                self.exec_pipelined(nest, params);
-            } else {
-                self.exec_doall(nest, params);
-            }
+            self.exec_doall(nest, params);
         }
         self.current_acc = None;
     }
@@ -639,15 +621,10 @@ impl<'a> Executor<'a> {
             sp: self.sp,
             cost: &self.cost,
             coords: &self.coords,
-            backend: SeqBackend {
-                machine: &mut self.machine,
-                arenas: &mut self.arenas,
-                profiler: self.profiler.as_deref_mut(),
-            },
-            race: match self.race.as_deref_mut() {
-                Some(d) => RaceSink::Live(d),
-                None => RaceSink::Off,
-            },
+            machine: &mut self.machine,
+            arenas: &mut self.arenas,
+            profiler: self.profiler.as_deref_mut(),
+            race: self.race.as_deref_mut(),
             fast_path: self.fast_path,
             kernels: self.seg_kernels,
             scratch: &mut self.scratch,
@@ -664,7 +641,6 @@ impl<'a> Executor<'a> {
             self.clocks[p] += busy;
         }
         let fast = lane.fast;
-        drop(lane);
         self.fast.accumulate(&fast);
         self.account(total);
         self.scratch_ivec = ivec;
@@ -711,15 +687,10 @@ impl<'a> Executor<'a> {
             sp: self.sp,
             cost: &self.cost,
             coords: &self.coords,
-            backend: SeqBackend {
-                machine: &mut self.machine,
-                arenas: &mut self.arenas,
-                profiler: self.profiler.as_deref_mut(),
-            },
-            race: match self.race.as_deref_mut() {
-                Some(d) => RaceSink::Live(d),
-                None => RaceSink::Off,
-            },
+            machine: &mut self.machine,
+            arenas: &mut self.arenas,
+            profiler: self.profiler.as_deref_mut(),
+            race: self.race.as_deref_mut(),
             fast_path: self.fast_path,
             kernels: self.seg_kernels,
             scratch: &mut self.scratch,
@@ -749,7 +720,7 @@ impl<'a> Executor<'a> {
                     let lk = if head {
                         lock
                     } else {
-                        let c = lane.backend.sync(SyncOp::PipelineHandoff);
+                        let c = lane.machine.sync(SyncOp::PipelineHandoff);
                         lane.race_acquire(p, r as usize, &prev_rel);
                         c
                     };
@@ -770,42 +741,26 @@ impl<'a> Executor<'a> {
             }
         }
         let fast = lane.fast;
-        drop(lane);
         self.fast.accumulate(&fast);
         self.account(total);
         self.scratch_ivec = ivec;
-    }
-
-    /// Which processors participate, exposed for the parallel engine.
-    pub(crate) fn region_participants(&self, nest: &SpmdNest, params: &[i64]) -> Vec<usize> {
-        if nest.replicated_write {
-            (0..self.sp.nprocs).collect()
-        } else {
-            self.participants(nest, params)
-        }
-    }
-
-    /// Record busy cycles for the parallel engine (same accumulator the
-    /// sequential walk uses).
-    pub(crate) fn account_region(&mut self, busy: u64) {
-        self.account(busy);
     }
 }
 
 /// `DCT_SEG_KERNELS` env override for the fused-kernel default: `0`,
 /// `off`, or `false` disables kernels; anything else (or unset) keeps
 /// them on.
-pub(crate) fn env_seg_kernels() -> bool {
+fn env_seg_kernels() -> bool {
     match std::env::var("DCT_SEG_KERNELS") {
         Ok(v) => !matches!(v.as_str(), "0" | "off" | "false"),
         Err(_) => true,
     }
 }
 
-/// Reusable buffers for allocation-free address computation: one set per
-/// executor (sequential lanes) and one per parallel worker.
+/// Reusable buffers for allocation-free address computation, one set per
+/// executor.
 #[derive(Default)]
-pub(crate) struct Scratch {
+struct Scratch {
     /// Evaluated index vector of the reference being resolved.
     idx: Vec<i64>,
     /// Layout address-computation scratch.
@@ -826,85 +781,27 @@ pub(crate) struct Scratch {
     wr_streams: Vec<WrStream>,
 }
 
-/// Where race events go during a walk: nowhere, straight into the live
-/// happens-before detector (sequential execution), or into a per-shard
-/// log that the merge replays into the detector in canonical processor
-/// order (parallel execution) — producing the identical detector state.
-pub(crate) enum RaceSink<'e> {
-    Off,
-    Live(&'e mut Detector),
-    Log(&'e mut crate::par::RaceLog),
-}
-
-impl RaceSink<'_> {
-    #[inline]
-    fn is_off(&self) -> bool {
-        matches!(self, RaceSink::Off)
-    }
-
-    #[inline]
-    fn access(&mut self, proc: usize, x: usize, slot: usize, write: bool) {
-        match self {
-            RaceSink::Off => {}
-            RaceSink::Live(d) => d.access(proc, x, slot, write),
-            RaceSink::Log(l) => l.access(proc, x, slot, write),
-        }
-    }
-
-    #[inline]
-    fn range_access(&mut self, proc: usize, x: usize, slot: usize, dslot: i64, count: i64, write: bool) {
-        match self {
-            RaceSink::Off => {}
-            RaceSink::Live(d) => d.range_access(proc, x, slot, dslot, count, write),
-            RaceSink::Log(l) => l.range_access(proc, x, slot, dslot, count, write),
-        }
-    }
-}
-
-/// Where a walk's memory accesses and array values are routed: the live
-/// [`Machine`] and arenas (sequential), or a thread-local machine shard
-/// with a raw-pointer arena view (parallel workers). The walk itself is
-/// identical either way — that is the bit-identity argument's core.
-pub(crate) trait Backend {
-    fn access(&mut self, proc: usize, byte_addr: u64, write: bool) -> u64;
-    fn sync(&mut self, op: SyncOp) -> u64;
-    fn arena_read(&self, x: usize, slot: usize) -> f64;
-    fn arena_write(&mut self, x: usize, slot: usize, v: f64);
-
-    /// Execute `rounds` rounds of the access vector `accs` (round-major,
-    /// exactly as if each round issued every access in order through
-    /// [`Backend::access`]), advancing each access's byte address by its
-    /// stride per round, and return the summed cost. The default is the
-    /// literal per-element loop; machine-backed implementations override
-    /// it with the line-batched walk, which is pinned bit-identical by
-    /// the machine crate's differential tests.
-    fn access_seg(&mut self, proc: usize, accs: &mut [SegAccess], rounds: u64) -> u64 {
-        let mut busy = 0u64;
-        for _ in 0..rounds {
-            for a in accs.iter_mut() {
-                busy += self.access(proc, a.byte, a.write);
-                a.byte = a.byte.wrapping_add(a.dbyte as u64);
-            }
-        }
-        busy
-    }
-
-    /// Raw base pointer and length of array `x`'s arena, for the fused
-    /// segment kernels' value sweeps. The pointer stays valid for the
-    /// backend's lifetime; callers bounds-check every sweep against `len`
-    /// before dereferencing.
-    fn arena_raw(&mut self, x: usize) -> (*mut f64, usize);
-}
-
-/// Sequential backend: the executor's own machine and arenas, with the
+/// The walk engine over the executor's machine and arenas. A lane
+/// executes one processor at a time, with the race detector and the
 /// profiler (when attached) observing every access inline.
-pub(crate) struct SeqBackend<'e> {
-    pub(crate) machine: &'e mut Machine,
-    pub(crate) arenas: &'e mut Vec<Vec<f64>>,
-    pub(crate) profiler: Option<&'e mut Profiler>,
+struct Lane<'e> {
+    sp: &'e SpmdProgram,
+    cost: &'e CostModel,
+    coords: &'e [Vec<usize>],
+    machine: &'e mut Machine,
+    arenas: &'e mut [Vec<f64>],
+    profiler: Option<&'e mut Profiler>,
+    race: Option<&'e mut Detector>,
+    fast_path: bool,
+    /// Dispatch strided segments to fused kernels when the nest has a
+    /// plan (false = postfix interpreter for every segment).
+    kernels: bool,
+    scratch: &'e mut Scratch,
+    fast: FastPathStats,
 }
 
-impl Backend for SeqBackend<'_> {
+impl Lane<'_> {
+    /// One machine access, observed by the profiler when attached.
     #[inline]
     fn access(&mut self, proc: usize, byte_addr: u64, write: bool) -> u64 {
         match self.profiler.as_deref_mut() {
@@ -915,53 +812,16 @@ impl Backend for SeqBackend<'_> {
         }
     }
 
+    /// Report one element access to the race detector, when attached.
     #[inline]
-    fn sync(&mut self, op: SyncOp) -> u64 {
-        self.machine.sync(op)
+    fn race_access(&mut self, proc: usize, x: usize, slot: usize, write: bool) {
+        if let Some(d) = self.race.as_deref_mut() {
+            d.access(proc, x, slot, write);
+        }
     }
 
-    #[inline]
-    fn arena_read(&self, x: usize, slot: usize) -> f64 {
-        self.arenas[x][slot]
-    }
-
-    #[inline]
-    fn arena_write(&mut self, x: usize, slot: usize, v: f64) {
-        self.arenas[x][slot] = v;
-    }
-
-    fn access_seg(&mut self, proc: usize, accs: &mut [SegAccess], rounds: u64) -> u64 {
-        let probe = self.profiler.as_deref_mut().map(|p| p as &mut dyn MemProbe);
-        self.machine.access_seg(proc, accs, rounds, probe)
-    }
-
-    #[inline]
-    fn arena_raw(&mut self, x: usize) -> (*mut f64, usize) {
-        let a = &mut self.arenas[x];
-        (a.as_mut_ptr(), a.len())
-    }
-}
-
-/// The walk engine, generic over where accesses land. A lane executes
-/// one processor at a time; the sequential executor drives one lane over
-/// the live machine, the parallel engine drives one lane per shard.
-pub(crate) struct Lane<'e, B: Backend> {
-    pub(crate) sp: &'e SpmdProgram,
-    pub(crate) cost: &'e CostModel,
-    pub(crate) coords: &'e [Vec<usize>],
-    pub(crate) backend: B,
-    pub(crate) race: RaceSink<'e>,
-    pub(crate) fast_path: bool,
-    /// Dispatch strided segments to fused kernels when the nest has a
-    /// plan (false = postfix interpreter for every segment).
-    pub(crate) kernels: bool,
-    pub(crate) scratch: &'e mut Scratch,
-    pub(crate) fast: FastPathStats,
-}
-
-impl<B: Backend> Lane<'_, B> {
     /// Recursive loop walk; returns busy cycles for this processor.
-    pub(crate) fn walk(
+    fn walk(
         &mut self,
         ctx: &WalkCtx,
         proc: usize,
@@ -1049,7 +909,7 @@ impl<B: Backend> Lane<'_, B> {
             let seg = self.setup_cursors(ctx, proc, ivec, params, level, step).min(remaining);
             self.fast.segments += 1;
             self.fast.fast_iters += seg as u64;
-            if !self.race.is_off() {
+            if self.race.is_some() {
                 self.race_segment(ctx, proc, seg);
             }
             let kern = if self.kernels {
@@ -1082,7 +942,7 @@ impl<B: Backend> Lane<'_, B> {
     }
 
     /// Execute one whole strided segment through the fused kernel layer:
-    /// one line-batched [`Backend::access_seg`] call for the machine
+    /// one line-batched [`Machine::access_seg`] call for the machine
     /// accounting plus a shape-specialized value sweep over raw arena
     /// slices ([`kernel::exec_values`]). Returns `None` — with no machine,
     /// arena, or cursor state touched — when the segment must take the
@@ -1110,7 +970,8 @@ impl<B: Backend> Lane<'_, B> {
         // sweep (`slot + t*dslot`, `t in 0..seg`) against its arena — a
         // kernel must never touch memory the interpreter would not.
         for (&(x, is_write), c) in ctx.ref_info.iter().zip(&sc.cursors) {
-            let (ptr, len) = self.backend.arena_raw(x);
+            let arena = &mut self.arenas[x];
+            let (ptr, len) = (arena.as_mut_ptr(), arena.len());
             let first = c.slot as i64;
             let last = first + (seg - 1) * c.dslot;
             let (lo, hi) = (first.min(last), first.max(last));
@@ -1155,10 +1016,12 @@ impl<B: Backend> Lane<'_, B> {
                 }
             }
         }
+        let probe = self.profiler.as_deref_mut().map(|p| p as &mut dyn MemProbe);
         let busy = seg as u64 * (self.cost.loop_iter + plan.extra_cycles)
-            + self.backend.access_seg(proc, &mut sc.seg_accs, seg as u64);
+            + self.machine.access_seg(proc, &mut sc.seg_accs, seg as u64, probe);
         // SAFETY: every stream's sweep was bounds-checked against its
-        // arena above, and the `arena_raw` pointers outlive this call.
+        // arena above, and the arena pointers outlive this call (the lane
+        // holds the arenas mutably borrowed).
         unsafe {
             kernel::exec_values(
                 plan,
@@ -1244,8 +1107,10 @@ impl<B: Backend> Lane<'_, B> {
     /// `proc:epoch` and per-reference batching observes the same
     /// happens-before facts as the per-iteration general walk.
     fn race_segment(&mut self, ctx: &WalkCtx, proc: usize, seg: i64) {
-        for (c, &(x, is_write)) in self.scratch.cursors.iter().zip(&ctx.ref_info) {
-            self.race.range_access(proc, x, c.slot, c.dslot, seg, is_write);
+        if let Some(d) = self.race.as_deref_mut() {
+            for (c, &(x, is_write)) in self.scratch.cursors.iter().zip(&ctx.ref_info) {
+                d.range_access(proc, x, c.slot, c.dslot, seg, is_write);
+            }
         }
     }
 
@@ -1273,8 +1138,8 @@ impl<B: Backend> Lane<'_, B> {
                     BodyOp::Read { x, extra } => {
                         let c0 = self.scratch.cursors[cur];
                         cur += 1;
-                        busy += self.backend.access(proc, c0.byte, false) + extra;
-                        stack[top] = self.backend.arena_read(x, c0.slot);
+                        busy += self.access(proc, c0.byte, false) + extra;
+                        stack[top] = self.arenas[x][c0.slot];
                         top += 1;
                     }
                     BodyOp::Bin(op) => {
@@ -1292,8 +1157,8 @@ impl<B: Backend> Lane<'_, B> {
             }
             let val = stack[top - 1];
             busy += sc.flop_cycles;
-            busy += self.backend.access(proc, wcur.byte, true) + sc.write_extra;
-            self.backend.arena_write(s.lhs.array.0, wcur.slot, val);
+            busy += self.access(proc, wcur.byte, true) + sc.write_extra;
+            self.arenas[s.lhs.array.0][wcur.slot] = val;
             k = cur;
         }
         busy
@@ -1309,9 +1174,9 @@ impl<B: Backend> Lane<'_, B> {
             // Write.
             let x = s.lhs.array.0;
             let (addr, slot) = self.addr_of_ref(proc, x, &s.lhs.access, ivec, params);
-            self.race.access(proc, x, slot, true);
-            busy += self.backend.access(proc, addr, true) + sc.write_extra;
-            self.backend.arena_write(x, slot, val);
+            self.race_access(proc, x, slot, true);
+            busy += self.access(proc, addr, true) + sc.write_extra;
+            self.arenas[x][slot] = val;
         }
         busy
     }
@@ -1332,11 +1197,11 @@ impl<B: Backend> Lane<'_, B> {
             Expr::Ref(r) => {
                 let x = r.array.0;
                 let (addr, slot) = self.addr_of_ref(proc, x, &r.access, ivec, params);
-                self.race.access(proc, x, slot, false);
+                self.race_access(proc, x, slot, false);
                 let extra = read_extras.get(*read_idx).copied().unwrap_or(0);
                 *read_idx += 1;
-                let c = self.backend.access(proc, addr, false) + extra;
-                (self.backend.arena_read(x, slot), c)
+                let c = self.access(proc, addr, false) + extra;
+                (self.arenas[x][slot], c)
             }
             Expr::Bin(op, a, b) => {
                 let (va, ca) = self.eval(proc, a, ivec, params, read_extras, read_idx);
@@ -1378,54 +1243,27 @@ impl<B: Backend> Lane<'_, B> {
         (byte, elem as usize)
     }
 
-    /// Pipeline-handoff acquire edge. The live detector consumes the
-    /// predecessor's released clocks directly; a log records the tile
-    /// index and the merge-time replay resolves it against the releases
-    /// it has itself replayed (identical by construction).
-    pub(crate) fn race_acquire(&mut self, proc: usize, r: usize, prev_rel: &[Vec<u64>]) {
-        match &mut self.race {
-            RaceSink::Off => {}
-            RaceSink::Live(d) => {
-                if let Some(snap) = prev_rel.get(r) {
-                    d.acquire(proc, snap);
-                }
-            }
-            RaceSink::Log(l) => l.acquire(proc, r),
+    /// Pipeline-handoff acquire edge: the live detector consumes the
+    /// predecessor's released clocks for tile `r`.
+    fn race_acquire(&mut self, proc: usize, r: usize, prev_rel: &[Vec<u64>]) {
+        if let (Some(d), Some(snap)) = (self.race.as_deref_mut(), prev_rel.get(r)) {
+            d.acquire(proc, snap);
         }
     }
 
     /// Release edge after a pipeline tile; returns the released clocks
-    /// for the live detector (empty when off or logging — the successor
-    /// side resolves logged releases at replay).
-    pub(crate) fn race_release(&mut self, proc: usize) -> Vec<u64> {
-        match &mut self.race {
-            RaceSink::Off => Vec::new(),
-            RaceSink::Live(d) => d.release(proc),
-            RaceSink::Log(l) => {
-                l.release(proc);
-                Vec::new()
-            }
-        }
-    }
-
-    /// Mark the start of a pipeline chain in a race log (no-op otherwise).
-    pub(crate) fn race_chain(&mut self) {
-        if let RaceSink::Log(l) = &mut self.race {
-            l.chain();
-        }
-    }
-
-    /// Mark the start of a chain member in a race log (no-op otherwise).
-    pub(crate) fn race_member(&mut self, proc: usize) {
-        if let RaceSink::Log(l) = &mut self.race {
-            l.member(proc);
+    /// (empty when detection is off).
+    fn race_release(&mut self, proc: usize) -> Vec<u64> {
+        match self.race.as_deref_mut() {
+            Some(d) => d.release(proc),
+            None => Vec::new(),
         }
     }
 }
 
 // The checksum-bits format lives in dct-ir so the native backend folds
 // final values through the exact same function (see `dct_ir::checksum`).
-pub(crate) use dct_ir::checksum_arenas;
+use dct_ir::checksum_arenas;
 
 /// Iteration subset of `[lo, hi]` owned by grid coordinate `q`: a concrete
 /// enum iterator (no per-loop-entry allocation). Block and cyclic foldings

@@ -13,7 +13,6 @@ pub mod cost;
 pub mod emit_c;
 pub mod exec;
 pub mod kernel;
-pub(crate) mod par;
 pub mod race;
 pub mod run;
 

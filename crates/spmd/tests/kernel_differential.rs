@@ -147,7 +147,6 @@ proptest! {
             for procs in [1usize, 2, 4] {
                 let mut kern = SimOptions::new(procs, params.clone());
                 kern.transform_data = transform;
-                kern.threads = 1;
                 let mut interp = kern.clone();
                 interp.seg_kernels = false;
                 let mut reference = kern.clone();
@@ -276,7 +275,6 @@ fn assert_fallback_exact(
     let params = prog.default_params();
     for procs in [1usize, 4] {
         let mut opts = SimOptions::new(procs, params.clone());
-        opts.threads = 1;
         opts.race_detect = true;
         opts.profile = true;
         let opts = tweak(opts);
